@@ -95,7 +95,7 @@ def cmd_plan(args) -> int:
     if P.dim % 2 == 0:
         plan = plan_even_d(P, Pprime)
     else:
-        plan = plan_odd_d(P, Pprime, tries=args.tries, seed=args.seed)
+        plan = plan_odd_d(P, Pprime, seed=args.seed)
     if args.check_bound:
         bound = (P.dim * math.comb(P.n, P.dim + 1)) // 2
         if plan.total > bound:
@@ -221,7 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="full planner (dimension parity dispatched)")
     common(p, 2)
-    p.add_argument("--tries", type=int, default=None, help="sign vectors to sample (odd d)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check-bound", action="store_true")
     p.set_defaults(func=cmd_plan)

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Sequence, Union
 from .errors import (
     DegenerateTupleError,
     DimensionMismatchError,
+    InternalInvariantError,
     ShapeMismatchError,
 )
 
@@ -310,7 +311,8 @@ def robust_radius(P: PointTuple) -> RobustRadius:
         a = abs(det)
         if min_abs is None or a < min_abs:
             min_abs = a
-    assert min_abs is not None
+    if min_abs is None:
+        raise InternalInvariantError("no (d+1)-subset to bound the radius by")
     radius = max(abs(c) for p in P.points for c in p)
     lipschitz = (d + 1) * d * math.factorial(d) * (2 * radius) ** (d - 1)
     eps = min(radius, min_abs / lipschitz)

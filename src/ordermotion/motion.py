@@ -225,13 +225,12 @@ def even_parity_sign_vectors(d: int) -> Iterator[tuple[int, ...]]:
             yield bits
 
 
-def sign_rule_ledger(
-    P: PointTuple, Ptarget: PointTuple, signs: Sequence[int]
-) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], CoefficientProfile]]:
-    """Per-subset flip counts predicted by the sign rule for decaying
-    scalings with the given signs, along with the profiles used."""
+def subset_profiles(
+    P: PointTuple, Ptarget: PointTuple
+) -> dict[tuple[int, ...], CoefficientProfile]:
+    """The coefficient profile of every (d+1)-subset, in colex order; each
+    must be nowhere zero (perturb the target first if one is not)."""
     _check_pair(P, Ptarget)
-    counts: dict[tuple[int, ...], int] = {}
     profiles: dict[tuple[int, ...], CoefficientProfile] = {}
     for subset in colex_subsets(P.n, P.dim + 1):
         prof = coefficient_profile(P.subtuple(subset), Ptarget.subtuple(subset))
@@ -240,8 +239,47 @@ def sign_rule_ledger(
                 f"vanishing mixed determinant on subset {subset}", subset=subset
             )
         profiles[subset] = prof
-        counts[subset] = sign_rule_flips(prof, signs)
+    return profiles
+
+
+def sign_rule_ledger(
+    P: PointTuple, Ptarget: PointTuple, signs: Sequence[int]
+) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], CoefficientProfile]]:
+    """Per-subset flip counts predicted by the sign rule for decaying
+    scalings with the given signs, along with the profiles used."""
+    profiles = subset_profiles(P, Ptarget)
+    counts = {s: sign_rule_flips(prof, signs) for s, prof in profiles.items()}
     return counts, profiles
+
+
+def cheapest_even_parity_signs(
+    agree: Sequence[int], disagree: Sequence[int]
+) -> tuple[int, ...]:
+    """The cheapest even-parity sign vector under the sign rule.
+
+    agree[j] and disagree[j] count the subsets with r_j * r_{j+1} > 0 and
+    < 0. Choosing +1 for coordinate j costs disagree[j] flips, choosing -1
+    costs agree[j], and the total is the sum over coordinates. Among all
+    cheapest vectors the result is the first in even_parity_sign_vectors
+    order (+1 before -1 in each coordinate, earlier coordinates first).
+    """
+    if len(agree) != len(disagree) or not agree:
+        raise ValueError("need one agree and one disagree count per coordinate")
+    signs = [-1 if a < b else 1 for a, b in zip(agree, disagree)]
+    if signs.count(-1) % 2 == 0:
+        return tuple(signs)
+    # Odd parity: flip exactly one coordinate with the least penalty
+    # difference. Flipping three costs more when that difference is positive;
+    # when it is zero, every tied coordinate is +1 and flipping only the last
+    # of them gives the earliest vector. Among single flips, a -1 turned into
+    # +1 at the first tied position comes earliest; failing one, a +1 turned
+    # into -1 at the last tied position.
+    gaps = [abs(a - b) for a, b in zip(agree, disagree)]
+    least = min(gaps)
+    ties = [j for j, g in enumerate(gaps) if g == least]
+    flip = next((j for j in ties if signs[j] == -1), ties[-1])
+    signs[flip] = -signs[flip]
+    return tuple(signs)
 
 
 def certify_decay_scale(
@@ -255,7 +293,7 @@ def certify_decay_scale(
     """One eta certified (by Sturm counts) to localize a single root of every
     subset pencil in each decay interval, uniformly over all subsets."""
     if profiles is None:
-        _, profiles = sign_rule_ledger(P, Ptarget, signs)
+        profiles = subset_profiles(P, Ptarget)
     eta = start
     for _ in range(max_halvings):
         lam = decay_lambdas(signs, eta)
@@ -276,7 +314,7 @@ def certify_decay_scale(
 def plan_odd_d(
     P: PointTuple,
     Pprime: PointTuple,
-    tries: int | None = None,
+    tries: None = None,
     seed: int = 0,
 ) -> MotionPlan:
     """Planner for odd d >= 3.
@@ -284,11 +322,17 @@ def plan_odd_d(
     The target is first nudged (inside its rigidity radius, so at zero cost)
     until every mixed determinant of every subset is nonzero. For rapidly
     decaying scalings the flip count of a subset is then the number of
-    negative products lam_j * r_{j-1} * r_j, so the cost of every even-parity
-    sign choice is exact arithmetic on determinant signs. The best choice is
-    returned with a Sturm-certified decay scale; with exhaustive enumeration
-    its total is at most floor(d/2 * C(n, d+1)).
+    negative products lam_j * r_{j-1} * r_j. That total is a sum of one
+    term per coordinate, so the cheapest even-parity sign choice follows
+    exactly from counts over the profiles, computed once. It is returned
+    with a Sturm-certified decay scale, and its total is at most
+    floor(d/2 * C(n, d+1)): averaged over all even-parity choices each
+    coordinate is +1 half the time, so the average total is (d/2) C(n, d+1).
+
+    `tries` is accepted only as None; the sign choice is always exact.
     """
+    if tries is not None:
+        raise ValueError("tries must be None; the sign choice is exact")
     _check_pair(P, Pprime)
     d = P.dim
     if d % 2 == 0 or d < 3:
@@ -298,38 +342,24 @@ def plan_odd_d(
     budget = robust_radius(Pprime).epsilon
     Pq = perturb_general(Pprime, budget, partner=P, seed=seed)
 
-    if tries is None and d > 11:
-        tries = 1024  # exhaustive enumeration caps out at 2^10 vectors (d = 11)
-    exhaustive = tries is None or (d <= 11 and tries >= 2 ** (d - 1))
-    if exhaustive:
-        vectors = list(even_parity_sign_vectors(d))
-    else:
-        rng = random.Random(seed)
-        vectors = []
-        for _ in range(max(1, tries)):
-            head = [1 if rng.getrandbits(1) else -1 for _ in range(d - 1)]
-            head.append(1 if sum(1 for b in head if b < 0) % 2 == 0 else -1)
-            vectors.append(tuple(head))
+    profiles = subset_profiles(P, Pq)
+    agree = [0] * d
+    for prof in profiles.values():
+        for j in range(d):
+            if prof[j] * prof[j + 1] > 0:
+                agree[j] += 1
+    signs = cheapest_even_parity_signs(agree, [len(profiles) - a for a in agree])
+    counts = {s: sign_rule_flips(prof, signs) for s, prof in profiles.items()}
 
-    best_signs = None
-    best_counts: dict[tuple[int, ...], int] | None = None
-    best_profiles = None
-    for signs in vectors:
-        counts, profiles = sign_rule_ledger(P, Pq, signs)
-        total = sum(counts.values())
-        if best_counts is None or total < sum(best_counts.values()):
-            best_signs, best_counts, best_profiles = signs, counts, profiles
-    assert best_signs is not None and best_counts is not None
-
-    total = sum(best_counts.values())
+    total = sum(counts.values())
     bound = (d * math.comb(P.n, d + 1)) // 2
-    if exhaustive and total > bound:
+    if total > bound:
         raise InternalInvariantError(
-            f"exhaustive sign search exceeded the bound: {total} > {bound}"
+            f"cheapest sign choice exceeded the bound: {total} > {bound}"
         )
 
-    eta = certify_decay_scale(P, Pq, best_signs, best_profiles)
-    lam = decay_lambdas(best_signs, eta)
+    eta = certify_decay_scale(P, Pq, signs, profiles)
+    lam = decay_lambdas(signs, eta)
     scaled_target = scale_tuple(Pq, lam)
     inverse = tuple(1 / v for v in lam)
 
@@ -344,7 +374,7 @@ def plan_odd_d(
         scaling_segment(scaled_target, inverse),
         MotionSegment(kind=LINEAR, start=Pq, end=Pprime),
     )
-    ledger = tuple((s, best_counts[s]) for s in colex_subsets(P.n, d + 1))
+    ledger = tuple(counts.items())
     return MotionPlan(n=P.n, d=d, segments=segments, ledger=ledger, total=total)
 
 

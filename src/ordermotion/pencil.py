@@ -19,7 +19,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import DegenerateTupleError, DimensionMismatchError, RetryBudgetError
+from .errors import (
+    DegenerateTupleError,
+    DimensionMismatchError,
+    InternalInvariantError,
+    RetryBudgetError,
+)
 from .geometry import Point, ScalarLike, as_scalar, det_rational, orientation_det
 from .polynomial import RationalPolynomial, sturm_distinct_roots
 
@@ -125,7 +130,8 @@ def build_pencil(
     for value, basis in zip(values, _lagrange_basis(d)):
         if value != 0:
             poly = poly + basis * value
-    assert poly.degree == d, "pencil lost its leading coefficient"
+    if poly.degree != d:
+        raise InternalInvariantError("pencil lost its leading coefficient")
     return PencilPolynomial(poly=poly, lam=lam_t, subset=subset)
 
 

@@ -124,7 +124,7 @@ def test_coefficient_decay_certificate():
 
 
 def test_odd_dim_planner():
-    # d=3, n=5: exhaustive even-parity sign search stays within
+    # d=3, n=5: the exact even-parity sign choice stays within
     # floor(1.5 C(5,4)) = 7, and the sign-rule ledger equals the Sturm
     # flip count for every subset and every sign vector
     for k in range(20):

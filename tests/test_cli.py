@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -97,6 +98,26 @@ def test_plan_odd_dimension(files):
         "zero-cost-scaling",
         "linear",
     ]
+
+
+def test_plan_odd_dimension_golden_bytes(files):
+    # Pins the exact plan (sign choice, certified eta, perturbed target).
+    tmp, write = files
+    A, B = rand_pair(random.Random(5), 7, 5)
+    pa, pb = write("a.json", A), write("b.json", B)
+    out = tmp / "plan.json"
+    assert main(["plan", "-i", pa, pb, "--check-bound", "-o", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "a212c6e73410f70365ae2bb384dac0ac78bba1a7a75fa9d668ee9a012e1a47b3"
+
+
+def test_plan_rejects_tries(files):
+    _, write = files
+    A, B = rand_pair(random.Random(4), 5, 3)
+    pa, pb = write("a.json", A), write("b.json", B)
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "-i", pa, pb, "--tries", "4"])
+    assert exc.value.code == 2
 
 
 def test_blowup_all_pass_and_determinism(files):

@@ -173,6 +173,56 @@ class TestOddPlanner:
         with pytest.raises(om.DimensionMismatchError):
             om.plan_odd_d(A, B)
 
+    def test_rejects_tries(self):
+        rng = random.Random(19)
+        A, B = rand_pair(rng, 4, 3)
+        with pytest.raises(ValueError):
+            om.plan_odd_d(A, B, tries=1024)
+
+    @pytest.mark.parametrize("d", [3, 5, 7, 9, 11])
+    def test_sign_picker_matches_enumeration(self, d):
+        # Few random +-1 profiles per case, so coordinate ties are frequent.
+        rng = random.Random(700 + d)
+        vectors = list(om.even_parity_sign_vectors(d))
+        for _ in range(60):
+            profiles = [
+                om.CoefficientProfile(tuple(F(rng.choice((1, -1))) for _ in range(d + 1)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            agree = [sum(1 for p in profiles if p[j] * p[j + 1] > 0) for j in range(d)]
+            disagree = [len(profiles) - a for a in agree]
+            # first minimum in enumeration order, as a strict-< scan keeps it
+            best = min(
+                vectors,
+                key=lambda s: sum(om.sign_rule_flips(p, s) for p in profiles),
+            )
+            assert om.cheapest_even_parity_signs(agree, disagree) == best
+
+    @pytest.mark.parametrize("d,n,seed", [(5, 6, 30), (5, 7, 31), (7, 8, 32)])
+    def test_plan_keeps_first_enumerated_minimum(self, d, n, seed):
+        rng = random.Random(seed)
+        A, B = rand_pair(rng, n, d)
+        plan = om.plan_odd_d(A, B, seed=seed)
+        Pq = om.perturb_general(B, om.robust_radius(B).epsilon, partner=A, seed=seed)
+        best_counts = None
+        for signs in om.even_parity_sign_vectors(d):
+            counts, _ = om.sign_rule_ledger(A, Pq, signs)
+            if best_counts is None or sum(counts.values()) < sum(best_counts.values()):
+                best_signs, best_counts = signs, counts
+        scaling = plan.segments[1].scaling
+        assert tuple(1 if v > 0 else -1 for v in scaling) == best_signs
+        assert plan.ledger == tuple(best_counts.items())
+        assert plan.total <= (d * math.comb(n, d + 1)) // 2
+
+    def test_bound_d13(self):
+        # Past d=11, where enumerating the 2^(d-1) sign vectors gets costly.
+        d, n = 13, 14
+        rng = random.Random(33)
+        A, B = rand_pair(rng, n, d, span=8)
+        plan = om.plan_odd_d(A, B, seed=0)
+        assert plan.total <= (d * math.comb(n, d + 1)) // 2
+        assert [s.kind for s in plan.segments] == ["linear", "zero-cost-scaling", "linear"]
+
 
 class TestPerturbGeneral:
     def test_generic_input_unchanged(self):
