@@ -47,10 +47,9 @@ from .pencil import (
 from .polynomial import (
     RationalPolynomial,
     poly_gcd,
-    sign_change_count,
+    root_counts,
     sturm_distinct_roots,
 )
-from .pool import ordered_map
 
 LINEAR = "linear"
 ZERO_COST_SCALING = "zero-cost-scaling"
@@ -116,11 +115,10 @@ def linear_cost(
 
     def analyze(subset):
         pen = build_pencil(P.subtuple(subset), Ptarget.subtuple(subset), ones, subset)
-        flips = sign_change_count(pen.poly, Fraction(0), None)
-        distinct = sturm_distinct_roots(pen.poly, Fraction(0), None)
+        flips, distinct = root_counts(pen.poly, Fraction(0), None)
         return subset, flips, distinct, pen.poly
 
-    rows = ordered_map(analyze, subsets)
+    rows = [analyze(subset) for subset in subsets]
     ledger = tuple((subset, flips) for subset, flips, _, _ in rows)
     total = sum(flips for _, flips, _, _ in rows)
 

@@ -23,7 +23,6 @@ from .errors import (
     DegenerateTupleError,
     DimensionMismatchError,
     InternalInvariantError,
-    RetryBudgetError,
 )
 from .geometry import Point, ScalarLike, as_scalar, det_rational, orientation_det
 from .polynomial import RationalPolynomial, sturm_distinct_roots
@@ -40,14 +39,6 @@ class PencilPolynomial:
     @property
     def degree_bound(self) -> int:
         return len(self.lam)
-
-    def flips_on_positive_axis(self) -> int:
-        from .polynomial import sign_change_count
-
-        return sign_change_count(self.poly, Fraction(0), None)
-
-    def distinct_roots_on_positive_axis(self) -> int:
-        return sturm_distinct_roots(self.poly, Fraction(0), None)
 
 
 @dataclass(frozen=True)
@@ -243,27 +234,3 @@ def sign_rule_flips(profile: CoefficientProfile, signs: Sequence[int]) -> int:
             count += 1
     return count
 
-
-def certified_decay_eta(
-    p_sub: Sequence[Point],
-    q_sub: Sequence[Point],
-    signs: Sequence[int],
-    start: ScalarLike = Fraction(1, 1024),
-    max_halvings: int = 60,
-) -> tuple[Fraction, PencilPolynomial]:
-    """Smallest-effort eta for which the one-root-per-interval certificate
-    holds; eta starts at `start` and is halved until the Sturm counts agree."""
-    profile = coefficient_profile(p_sub, q_sub)
-    if not profile.nowhere_zero:
-        raise DegenerateTupleError(
-            "a mixed determinant vanishes; perturb the target tuple first"
-        )
-    eta = as_scalar(start)
-    for _ in range(max_halvings):
-        pencil = build_pencil(p_sub, q_sub, decay_lambdas(signs, eta))
-        if localization_certified(pencil, profile):
-            return eta, pencil
-        eta = eta / 2
-    raise RetryBudgetError(
-        f"no certified decay scale found after {max_halvings} halvings"
-    )

@@ -1,7 +1,8 @@
 """Univariate polynomials over exact rationals with Sturm-chain root counts.
 
-Root multiplicities are handled by exact square-free decomposition; nothing
-in this module touches floating point.
+A square-free polynomial is counted with one Sturm chain; other root
+multiplicities are handled by exact square-free decomposition. Nothing in this
+module touches floating point.
 """
 
 from __future__ import annotations
@@ -191,16 +192,6 @@ def square_free_decomposition(
     return out
 
 
-def odd_multiplicity_part(p: RationalPolynomial) -> RationalPolynomial:
-    """Product of the square-free factors of odd multiplicity; its roots are
-    exactly the points where p changes sign."""
-    out = RationalPolynomial.from_coeffs([1])
-    for factor, mult in square_free_decomposition(p):
-        if mult % 2 == 1:
-            out = out * factor
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Sturm counting
 # ---------------------------------------------------------------------------
@@ -234,31 +225,61 @@ def _chain_signs(chain: Sequence[RationalPolynomial], x: Fraction | None, side: 
     return [_sign(q.leading) * (-1) ** (q.degree % 2) for q in chain]
 
 
+def _sturm_count(
+    chain: Sequence[RationalPolynomial], low: Fraction | None, high: Fraction | None
+) -> int:
+    return _variations(_chain_signs(chain, low, -1)) - _variations(
+        _chain_signs(chain, high, +1)
+    )
+
+
+def root_counts(
+    p: RationalPolynomial,
+    low: Fraction | None = None,
+    high: Fraction | None = None,
+) -> tuple[int, int]:
+    """(sign_changes, distinct) for p on the open interval (low, high), where
+    None stands for -inf / +inf: the roots of odd multiplicity, where p
+    changes sign, and all distinct real roots. Roots landing exactly on a
+    finite endpoint are excluded.
+
+    The Sturm chain of p ends in gcd(p, p'); when that is a constant, p is
+    square-free, both counts are the chain's one variation count, and no
+    decomposition runs. Otherwise one square-free decomposition splits p into
+    factors g_k of multiplicity k, each counted with its own chain.
+    """
+    if p.is_zero:
+        raise ZeroPolynomialError("root counting needs a nonzero polynomial")
+    if low is not None and high is not None and not low < high:
+        raise ValueError(f"empty or inverted interval ({low}, {high})")
+    endpoints = [e for e in (low, high) if e is not None]
+    chain = sturm_chain(p)
+    if chain[-1].degree == 0 and all(p(e) != 0 for e in endpoints):
+        count = _sturm_count(chain, low, high)
+        return count, count
+    sign_changes = distinct = 0
+    for g, k in square_free_decomposition(p):
+        for e in endpoints:
+            if g(e) == 0:
+                g = exact_div(g, RationalPolynomial.from_coeffs([-e, 1]))
+        if g.degree <= 0:
+            continue
+        count = _sturm_count(sturm_chain(g), low, high)
+        distinct += count
+        if k % 2 == 1:
+            sign_changes += count
+    return sign_changes, distinct
+
+
 def sturm_distinct_roots(
     p: RationalPolynomial,
     low: Fraction | None = None,
     high: Fraction | None = None,
 ) -> int:
     """Exact number of distinct real roots of p in the open interval
-    (low, high), where None stands for -inf / +inf.
-
-    Works for arbitrary multiplicities (the square-free part is taken
-    first); roots landing exactly on a finite endpoint are excluded.
-    """
-    if p.is_zero:
-        raise ZeroPolynomialError("root counting needs a nonzero polynomial")
-    if low is not None and high is not None and not low < high:
-        raise ValueError(f"empty or inverted interval ({low}, {high})")
-    q = square_free_part(p)
-    for endpoint in (low, high):
-        if endpoint is not None and q(endpoint) == 0:
-            q = exact_div(q, RationalPolynomial.from_coeffs([-endpoint, 1]))
-    if q.degree <= 0:
-        return 0
-    chain = sturm_chain(q)
-    at_low = _variations(_chain_signs(chain, low, -1))
-    at_high = _variations(_chain_signs(chain, high, +1))
-    return at_low - at_high
+    (low, high), where None stands for -inf / +inf; roots landing exactly on
+    a finite endpoint are excluded."""
+    return root_counts(p, low, high)[1]
 
 
 def sign_change_count(
@@ -267,7 +288,8 @@ def sign_change_count(
     high: Fraction | None = None,
 ) -> int:
     """Number of odd-multiplicity roots of p in the open interval (low, high):
-    the points where p actually changes sign."""
+    the points where p actually changes sign. A root on a finite endpoint is
+    an error."""
     if p.is_zero:
         raise ZeroPolynomialError("sign-change counting needs a nonzero polynomial")
     for endpoint in (low, high):
@@ -275,7 +297,4 @@ def sign_change_count(
             raise EndpointRootError(
                 f"polynomial vanishes at interval endpoint {endpoint}"
             )
-    odd = odd_multiplicity_part(p)
-    if odd.degree <= 0:
-        return 0
-    return sturm_distinct_roots(odd, low, high)
+    return root_counts(p, low, high)[0]

@@ -1,36 +1,18 @@
-"""Optional thread fan-out, capped by the ORDERMOTION_THREADS variable.
+"""A serial, order-preserving map.
 
-All library operations are pure functions of immutable values, so per-subset
-and per-sample work can run on any number of threads; results are merged in
-input order, which keeps every run deterministic regardless of the cap.
+The library runs single-threaded: its work is pure-Python Fraction
+arithmetic, which threads cannot speed up. No library code calls this; it
+stays because `bench/tracing.py` resolves `pool.ordered_map` by name.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-_ENV_VAR = "ORDERMOTION_THREADS"
-
-
-def max_workers() -> int:
-    raw = os.environ.get(_ENV_VAR, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
-
 
 def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Apply fn to every item, in order; fans out when the cap allows."""
-    seq: Sequence[T] = list(items)
-    workers = min(max_workers(), len(seq)) if seq else 1
-    if workers <= 1:
-        return [fn(x) for x in seq]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seq))
+    """Apply fn to every item, in order."""
+    return [fn(x) for x in items]

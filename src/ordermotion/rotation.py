@@ -39,8 +39,7 @@ from .geometry import (
 )
 from .motion import linear_cost
 from .pencil import build_pencil
-from .polynomial import sign_change_count, sturm_distinct_roots
-from .pool import ordered_map
+from .polynomial import root_counts, sturm_distinct_roots
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -255,8 +254,7 @@ def is_good(P_sub: PointTuple, Pprime_sub: PointTuple, rho: Rotation) -> Goodnes
     rotated = rho.apply_exact(Pprime_sub)
     ones = (Fraction(1),) * d
     pen = build_pencil(P_sub.points, rotated.points, ones)
-    flips = sign_change_count(pen.poly, Fraction(0), None)
-    distinct = sturm_distinct_roots(pen.poly, Fraction(0), None)
+    flips, distinct = root_counts(pen.poly, Fraction(0), None)
     if d % 4 == 2 and orient(P_sub.points) == orient(rotated.points):
         if flips % 2 != 0:
             raise InternalInvariantError("odd flip count between equal orientations")
@@ -299,7 +297,7 @@ def estimate_measure(
         raise PreconditionError("subset pair must share a nonzero orientation")
     rng = np.random.default_rng(seed)
     rotations = [haar_rotation(d, rng) for _ in range(n_samples)]
-    samples = ordered_map(lambda rho: is_good(P_sub, Pprime_sub, rho), rotations)
+    samples = [is_good(P_sub, Pprime_sub, rho) for rho in rotations]
     n_good = sum(1 for s in samples if s.good)
     dichotomy_failures = 0
     if check_dichotomy:

@@ -111,6 +111,48 @@ def test_plan_odd_dimension_golden_bytes(files):
     assert digest == "a212c6e73410f70365ae2bb384dac0ac78bba1a7a75fa9d668ee9a012e1a47b3"
 
 
+def _planted_shared_root_pair(rng):
+    # Two target points are the source points negated: both pass through the
+    # origin at x = 1, so every subset holding both degenerates there.
+    P = rand_tuple(rng, 5, 2)
+    while True:
+        free = rand_tuple(rng, 3, 2).points
+        Q = om.point_tuple([[-c for c in P.points[0]], [-c for c in P.points[1]], *free])
+        if om.is_general_position(Q):
+            return P, Q
+
+
+def test_cost_shared_roots_golden_bytes(files):
+    # Pins the direct motion's ledger and its shared-root report.
+    tmp, write = files
+    A, B = _planted_shared_root_pair(random.Random(11))
+    pa, pb = write("a.json", A), write("b.json", B)
+    out = tmp / "plan.json"
+    assert main(["cost", "-i", pa, pb, "-o", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["needs_serialization"] is True
+    assert [[0, 1, 2], [0, 1, 3]] in obj["shared_roots"]
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "baeba410ae182f6cc2c96f61c4005bbfc8ec7117fa5395e5041d6355d391340f"
+
+
+def test_goodrot_measure_d4_golden_bytes(files):
+    # Pins the good-rotation decisions at d=4; one of the 24 samples is bad.
+    tmp, write = files
+    rng = random.Random(13)
+    while True:
+        A, B = rand_pair(rng, 5, 4)
+        if om.orient(A.points) == om.orient(B.points):
+            break
+    pa, pb = write("a.json", A), write("b.json", B)
+    out = tmp / "rot.json"
+    assert main(["goodrot", "-i", pa, pb, "-N", "24", "--seed", "3", "-o", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["mode"] == "measure" and obj["n_good"] == 23
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "c6f196df0ddcdd67b6a41c911b8bc8252c46051de49ec225f39e94e05a768f96"
+
+
 def test_plan_rejects_tries(files):
     _, write = files
     A, B = rand_pair(random.Random(4), 5, 3)

@@ -82,7 +82,7 @@ class TestBuildPencil:
             A, B = rand_tuple(rng, 3, 2), rand_tuple(rng, 3, 2)
             pen = om.build_pencil(A.points, B.points, [1, 1])
             assert pen.poly.degree == 2
-            assert pen.flips_on_positive_axis() <= 2
+            assert om.sign_change_count(pen.poly, F(0), None) <= 2
 
 
 class TestReflectionIdentity:
@@ -166,7 +166,7 @@ class TestCoefficientProfile:
         with pytest.raises(om.DegenerateTupleError):
             om.coefficient_decay_report(A.points, B.points, F(1, 8), [1, 1])
         with pytest.raises(om.DegenerateTupleError):
-            om.certified_decay_eta(A.points, B.points, (1, 1))
+            om.certify_decay_scale(A, B, (1, 1))
 
 
 class TestRootLocalization:
@@ -180,7 +180,8 @@ class TestRootLocalization:
                 continue
             done += 1
             for signs in ((1, 1, 1), (-1, -1, 1)):
-                eta, pen = om.certified_decay_eta(A.points, B.points, signs)
+                eta = om.certify_decay_scale(A, B, signs)
+                pen = om.build_pencil(A.points, B.points, om.decay_lambdas(signs, eta))
                 assert om.localization_certified(pen, prof)
                 intervals = om.decay_intervals(prof, pen.lam)
                 for lo, hi in intervals:

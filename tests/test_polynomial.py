@@ -70,13 +70,6 @@ class TestGcdAndSquareFree:
                     rebuilt = rebuilt * factor
             assert rebuilt.monic() == p.monic()
 
-    def test_odd_multiplicity_part(self):
-        p = RP.from_roots([1, 1, 3, 5, 5, 5])
-        odd = om.odd_multiplicity_part(p)
-        assert odd(3) == 0 and odd(5) == 0
-        assert odd(1) != 0
-        assert odd.degree == 2
-
 
 class TestSturmCounts:
     def test_sqrt_two(self):
