@@ -260,6 +260,27 @@ def _sides_condition(
     return True
 
 
+def _conditions_hold(
+    Q: PointTuple,
+    Qprime: PointTuple,
+    clouds: Sequence[Sequence[Point]],
+    clouds_prime: Sequence[Sequence[Point]],
+    spec: CloudSpec,
+    spec_prime: CloudSpec,
+) -> bool:
+    """The four exact conditions of a blow-up: every cloud within its side's
+    epsilon of its site, and the side condition on both sides."""
+    return (
+        all(_within_epsilon(q, c, spec.epsilon) for q, c in zip(Q.points, clouds))
+        and all(
+            _within_epsilon(q, c, spec_prime.epsilon)
+            for q, c in zip(Qprime.points, clouds_prime)
+        )
+        and _sides_condition(clouds, spec.partitions)
+        and _sides_condition(clouds_prime, spec_prime.partitions)
+    )
+
+
 def build_blowup(Q: PointTuple, Qprime: PointTuple, m: int, max_halvings: int = 200) -> BlowupResult:
     """Blow both tuples up into clouds of m points per site.
 
@@ -303,33 +324,27 @@ def build_blowup(Q: PointTuple, Qprime: PointTuple, m: int, max_halvings: int = 
             )
             for i in range(r)
         ]
-        ok = (
-            all(_within_epsilon(Q.points[i], clouds[i], eps) for i in range(r))
-            and all(
-                _within_epsilon(Qprime.points[i], clouds_prime[i], eps_prime)
-                for i in range(r)
-            )
-            and _sides_condition(clouds, partitions)
-            and _sides_condition(clouds_prime, partitions)
+        spec = CloudSpec(eps, delta, directions, curvatures, partitions)
+        spec_prime = CloudSpec(
+            eps_prime, delta, directions_prime, curvatures_prime, partitions
         )
-        if ok:
+        if _conditions_hold(Q, Qprime, clouds, clouds_prime, spec, spec_prime):
             P = PointTuple(2, tuple(p for cloud in clouds for p in cloud))
             Pprime = PointTuple(2, tuple(p for cloud in clouds_prime for p in cloud))
             if order_type(P) != order_type(Pprime):
                 raise InternalInvariantError(
                     "blown-up tuples disagree despite verified conditions"
                 )
+            bound = lower_bound_certificate(r, m)
             return BlowupResult(
                 P=P,
                 Pprime=Pprime,
-                spec=CloudSpec(eps, delta, directions, curvatures, partitions),
-                spec_prime=CloudSpec(
-                    eps_prime, delta, directions_prime, curvatures_prime, partitions
-                ),
+                spec=spec,
+                spec_prime=spec_prime,
                 r=r,
                 m=m,
-                certificate=2 * m ** 3,
-                asymptotic_constant=Fraction(2, r ** 3),
+                certificate=bound.value,
+                asymptotic_constant=bound.asymptotic_constant,
             )
         delta = delta / 2
     raise RetryBudgetError(f"conditions failed to verify after {max_halvings} halvings")
@@ -381,19 +396,8 @@ def verify_blowup(
     clouds = _clouds_of(result, primed=False)
     clouds_prime = _clouds_of(result, primed=True)
 
-    conditions_ok = (
-        all(
-            _within_epsilon(Q.points[i], clouds[i], result.spec.epsilon)
-            for i in range(result.r)
-        )
-        and all(
-            _within_epsilon(
-                Qprime.points[i], clouds_prime[i], result.spec_prime.epsilon
-            )
-            for i in range(result.r)
-        )
-        and _sides_condition(clouds, result.spec.partitions)
-        and _sides_condition(clouds_prime, result.spec_prime.partitions)
+    conditions_ok = _conditions_hold(
+        Q, Qprime, clouds, clouds_prime, result.spec, result.spec_prime
     )
 
     intra = True

@@ -85,9 +85,6 @@ class MotionPlan:
         if self.total != sum(c for _, c in self.ledger):
             raise InternalInvariantError("plan total disagrees with its ledger")
 
-    def ledger_dict(self) -> dict[tuple[int, ...], int]:
-        return dict(self.ledger)
-
 
 def _check_pair(P: PointTuple, Q: PointTuple) -> None:
     if P.dim != Q.dim:
@@ -96,6 +93,51 @@ def _check_pair(P: PointTuple, Q: PointTuple) -> None:
         raise ShapeMismatchError(f"tuples have different sizes {P.n} vs {Q.n}")
     if P.n < P.dim + 1:
         raise ShapeMismatchError("need at least d+1 points to carry a cost")
+
+
+def _unit_pencils(
+    P: PointTuple, Ptarget: PointTuple
+) -> list[tuple[tuple[int, ...], RationalPolynomial]]:
+    """The pencil of every (d+1)-subset under unit scalings, in colex order."""
+    ones = (Fraction(1),) * P.dim
+    return [
+        (s, build_pencil(P.subtuple(s), Ptarget.subtuple(s), ones, s).poly)
+        for s in colex_subsets(P.n, P.dim + 1)
+    ]
+
+
+def _plan_from_counts(
+    P: PointTuple,
+    segments: tuple[MotionSegment, ...],
+    pencils: list[tuple[tuple[int, ...], RationalPolynomial]],
+    counts: list[tuple[int, int]],
+    low: Fraction | None,
+    high: Fraction | None,
+    check_simultaneous: bool = True,
+) -> MotionPlan:
+    """Assemble a plan whose costed part moves every subset through the roots
+    of its pencil on (low, high); counts[k] is root_counts of pencils[k] there.
+
+    Two subsets share a degeneracy time exactly when the gcd of their pencils
+    has a root on that interval."""
+    ledger = tuple((s, flips) for (s, _), (flips, _) in zip(pencils, counts))
+    shared: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    if check_simultaneous:
+        live = [pen for pen, (_, distinct) in zip(pencils, counts) if distinct > 0]
+        for i in range(len(live)):
+            for j in range(i + 1, len(live)):
+                g = poly_gcd(live[i][1], live[j][1])
+                if g.degree >= 1 and sturm_distinct_roots(g, low, high) > 0:
+                    shared.append((live[i][0], live[j][0]))
+    return MotionPlan(
+        n=P.n,
+        d=P.dim,
+        segments=segments,
+        ledger=ledger,
+        total=sum(flips for flips, _ in counts),
+        needs_serialization=bool(shared),
+        shared_roots=tuple(shared),
+    )
 
 
 def linear_cost(
@@ -109,37 +151,11 @@ def linear_cost(
     perturbation; the cost is unaffected.
     """
     _check_pair(P, Ptarget)
-    d = P.dim
-    ones = (Fraction(1),) * d
-    subsets = list(colex_subsets(P.n, d + 1))
-
-    def analyze(subset):
-        pen = build_pencil(P.subtuple(subset), Ptarget.subtuple(subset), ones, subset)
-        flips, distinct = root_counts(pen.poly, Fraction(0), None)
-        return subset, flips, distinct, pen.poly
-
-    rows = [analyze(subset) for subset in subsets]
-    ledger = tuple((subset, flips) for subset, flips, _, _ in rows)
-    total = sum(flips for _, flips, _, _ in rows)
-
-    shared: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    if check_simultaneous:
-        live = [(s, poly) for s, _, distinct, poly in rows if distinct > 0]
-        for i in range(len(live)):
-            for j in range(i + 1, len(live)):
-                g = poly_gcd(live[i][1], live[j][1])
-                if g.degree >= 1 and sturm_distinct_roots(g, Fraction(0), None) > 0:
-                    shared.append((live[i][0], live[j][0]))
-
+    pencils = _unit_pencils(P, Ptarget)
+    counts = [root_counts(poly, Fraction(0), None) for _, poly in pencils]
     segment = MotionSegment(kind=LINEAR, start=P, end=Ptarget)
-    return MotionPlan(
-        n=P.n,
-        d=d,
-        segments=(segment,),
-        ledger=ledger,
-        total=total,
-        needs_serialization=bool(shared),
-        shared_roots=tuple(shared),
+    return _plan_from_counts(
+        P, (segment,), pencils, counts, Fraction(0), None, check_simultaneous
     )
 
 
@@ -169,51 +185,45 @@ def scaling_segment(P: PointTuple, lam: Sequence[ScalarLike]) -> MotionSegment:
     )
 
 
-def rotation_segment(P: PointTuple, end: PointTuple, description: str) -> MotionSegment:
-    return MotionSegment(kind=ZERO_COST_ROTATION, start=P, end=end, rotation=description)
-
-
 # ---------------------------------------------------------------------------
 # Planners
 # ---------------------------------------------------------------------------
 
-def _zero_ledger(n: int, d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    return tuple((s, 0) for s in colex_subsets(n, d + 1))
-
-
 def plan_even_d(P: PointTuple, Pprime: PointTuple) -> MotionPlan:
-    """Planner for even d: run the linear motion to the target and to its
-    point reflection (a zero-cost scaling away), keep the cheaper branch.
+    """Planner for even d: run the linear motion to the target or to its
+    point reflection (a zero-cost scaling away), whichever is cheaper.
 
-    The two pencils of any subset are mirror images in x, so their positive
-    root counts sum to at most d; the winning branch therefore costs at most
-    (d/2) * C(n, d+1).
+    Toward the reflected target a subset's pencil is f(-x), where f is its
+    pencil toward the target itself. So one pencil per subset serves both
+    branches: the direct flips are the sign changes of f on (0, +inf), the
+    reflected ones those on (-inf, 0). Together they number at most d, so
+    the winning branch costs at most (d/2) * C(n, d+1).
     """
     _check_pair(P, Pprime)
     d = P.dim
     if d % 2 != 0:
         raise DimensionMismatchError(f"even-dimension planner called with d={d}")
-    direct = linear_cost(P, Pprime)
-    minus = (Fraction(-1),) * d
-    reflected = scale_tuple(Pprime, minus)
-    via_reflection = linear_cost(P, reflected)
+    pencils = _unit_pencils(P, Pprime)
+    zero = Fraction(0)
+    direct = [root_counts(poly, zero, None) for _, poly in pencils]
+    reflected = [root_counts(poly, None, zero) for _, poly in pencils]
+    direct_total = sum(flips for flips, _ in direct)
+    reflected_total = sum(flips for flips, _ in reflected)
     bound = (d // 2) * math.comb(P.n, d + 1)
-    if direct.total + via_reflection.total > 2 * bound:
+    if direct_total + reflected_total > 2 * bound:
         raise InternalInvariantError(
             "branch totals exceed the root-splitting bound; this is a bug"
         )
-    if direct.total <= via_reflection.total:
-        return direct
-    unscale = scaling_segment(reflected, minus)
-    return MotionPlan(
-        n=P.n,
-        d=d,
-        segments=via_reflection.segments + (unscale,),
-        ledger=via_reflection.ledger,
-        total=via_reflection.total,
-        needs_serialization=via_reflection.needs_serialization,
-        shared_roots=via_reflection.shared_roots,
+    if direct_total <= reflected_total:
+        segment = MotionSegment(kind=LINEAR, start=P, end=Pprime)
+        return _plan_from_counts(P, (segment,), pencils, direct, zero, None)
+    minus = (Fraction(-1),) * d
+    mirrored = scale_tuple(Pprime, minus)
+    segments = (
+        MotionSegment(kind=LINEAR, start=P, end=mirrored),
+        scaling_segment(mirrored, minus),
     )
+    return _plan_from_counts(P, segments, pencils, reflected, None, zero)
 
 
 def even_parity_sign_vectors(d: int) -> Iterator[tuple[int, ...]]:
@@ -460,13 +470,10 @@ def discretized_cost(
     grid, refining until Sturm counts certify at most one degeneracy per
     grid cell. Serves as an independent check of linear_cost."""
     _check_pair(P, Ptarget)
-    d = P.dim
-    ones = (Fraction(1),) * d
-    total = 0
-    for subset in colex_subsets(P.n, d + 1):
-        pen = build_pencil(P.subtuple(subset), Ptarget.subtuple(subset), ones, subset)
-        total += _subset_flips_sampled(P, Ptarget, subset, pen.poly, initial_steps, max_depth)
-    return total
+    return sum(
+        _subset_flips_sampled(P, Ptarget, subset, poly, initial_steps, max_depth)
+        for subset, poly in _unit_pencils(P, Ptarget)
+    )
 
 
 def _subset_flips_sampled(

@@ -19,12 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import (
-    DegenerateTupleError,
-    DimensionMismatchError,
-    InternalInvariantError,
-)
-from .geometry import Point, ScalarLike, as_scalar, det_rational, orientation_det
+from .errors import DegenerateTupleError, DimensionMismatchError
+from .geometry import Point, ScalarLike, as_scalar, det_rational
 from .polynomial import RationalPolynomial, sturm_distinct_roots
 
 
@@ -35,10 +31,6 @@ class PencilPolynomial:
     poly: RationalPolynomial
     lam: tuple[Fraction, ...]
     subset: tuple[int, ...] | None = None
-
-    @property
-    def degree_bound(self) -> int:
-        return len(self.lam)
 
 
 @dataclass(frozen=True)
@@ -94,8 +86,10 @@ def build_pencil(
 
     The determinant is evaluated at the integer nodes 0..d and interpolated;
     each node evaluation is an exact rational determinant, so the resulting
-    coefficients are exact. Degenerate endpoints (source with f(0)=0, or a
-    degenerate target, which kills the leading coefficient) are rejected.
+    coefficients are exact. Degenerate endpoints are rejected, the source
+    first: f(0) is the source's orientation determinant, and the x^d
+    coefficient is prod(lam) times the target's, so a degenerate target
+    shows as a degree below d.
     """
     d = _validate_pair(p_sub, q_sub)
     lam_t = tuple(as_scalar(v) for v in lam)
@@ -103,10 +97,6 @@ def build_pencil(
         raise DimensionMismatchError(f"expected {d} scalings, got {len(lam_t)}")
     if any(v == 0 for v in lam_t):
         raise ValueError("pencil scalings must be nonzero")
-    if orientation_det(p_sub) == 0:
-        raise DegenerateTupleError("degenerate source subset", subset=subset)
-    if orientation_det(q_sub) == 0:
-        raise DegenerateTupleError("degenerate target subset", subset=subset)
 
     values = []
     for node in range(d + 1):
@@ -116,13 +106,15 @@ def build_pencil(
             coef = x * lam_t[i]
             rows.append([p[i] + coef * q[i] for p, q in zip(p_sub, q_sub)])
         values.append(det_rational(rows))
+    if values[0] == 0:
+        raise DegenerateTupleError("degenerate source subset", subset=subset)
 
     poly = RationalPolynomial(())
     for value, basis in zip(values, _lagrange_basis(d)):
         if value != 0:
             poly = poly + basis * value
-    if poly.degree != d:
-        raise InternalInvariantError("pencil lost its leading coefficient")
+    if poly.degree < d:
+        raise DegenerateTupleError("degenerate target subset", subset=subset)
     return PencilPolynomial(poly=poly, lam=lam_t, subset=subset)
 
 

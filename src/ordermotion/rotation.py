@@ -56,16 +56,6 @@ class Rotation:
         self.matrix.setflags(write=False)
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "Rotation":
-        m = np.array(matrix, dtype=float)
-        defect = np.abs(m.T @ m - np.eye(m.shape[0])).max()
-        if defect > 1e-8:
-            raise PreconditionError(f"matrix is not orthogonal (defect {defect:.2e})")
-        if np.linalg.det(m) < 0:
-            raise PreconditionError("matrix is orientation-reversing")
-        return cls(matrix=m)
-
-    @classmethod
     def from_exact(cls, rows: Sequence[Sequence[ScalarLike]]) -> "Rotation":
         exact = tuple(tuple(as_scalar(v) for v in row) for row in rows)
         d = len(exact)
@@ -99,9 +89,6 @@ class Rotation:
 
     def apply_exact(self, P: PointTuple) -> PointTuple:
         return apply_linear_map(P, self.rational_entries())
-
-    def orthogonality_defect(self) -> float:
-        return float(np.abs(self.matrix.T @ self.matrix - np.eye(self.d)).max())
 
 
 def rotation_2d(theta: float) -> Rotation:
@@ -271,10 +258,6 @@ class MeasureEstimate:
     n_good: int
     seed: int
     dichotomy_failures: int
-
-    @property
-    def margin_over_half(self) -> float:
-        return self.fraction - 0.5
 
 
 def estimate_measure(

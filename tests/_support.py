@@ -25,6 +25,18 @@ def rand_pair(rng: random.Random, n: int, d: int, span: int = 64, den: int = 8):
     return rand_tuple(rng, n, d, span, den), rand_tuple(rng, n, d, span, den)
 
 
+def fixed_pair_planted(rng: random.Random, n: int, d: int):
+    """A source and a target that keeps source points 0 and 1. Toward the
+    target's point reflection both pass through the origin at x = 1, so every
+    subset holding both degenerates there: the reflected motion has shared
+    roots."""
+    P = rand_tuple(rng, n, d)
+    while True:
+        Q = om.point_tuple([P.points[0], P.points[1], *rand_tuple(rng, n - 2, d).points])
+        if om.is_general_position(Q):
+            return P, Q
+
+
 def same_orientation_triple_pair(rng: random.Random):
     """Two planar triples sharing a nonzero orientation."""
     while True:

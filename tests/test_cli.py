@@ -7,7 +7,7 @@ import pytest
 import ordermotion as om
 from ordermotion import serialize
 from ordermotion.cli import main
-from _support import jitter_same_order_type, rand_pair, rand_tuple
+from _support import fixed_pair_planted, jitter_same_order_type, rand_pair, rand_tuple
 
 
 @pytest.fixture
@@ -134,6 +134,22 @@ def test_cost_shared_roots_golden_bytes(files):
     assert [[0, 1, 2], [0, 1, 3]] in obj["shared_roots"]
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "baeba410ae182f6cc2c96f61c4005bbfc8ec7117fa5395e5041d6355d391340f"
+
+
+def test_plan_reflected_branch_golden_bytes(files):
+    # Pins an even-d plan that takes the reflected branch, where every
+    # subset holding points 0 and 1 degenerates at the same time.
+    tmp, write = files
+    A, B = fixed_pair_planted(random.Random(4), 5, 2)
+    pa, pb = write("a.json", A), write("b.json", B)
+    out = tmp / "plan.json"
+    assert main(["plan", "-i", pa, pb, "--check-bound", "-o", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert [seg["kind"] for seg in obj["segments"]] == ["linear", "zero-cost-scaling"]
+    assert obj["needs_serialization"] is True
+    assert [[0, 1, 2], [0, 1, 3]] in obj["shared_roots"]
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "62b88e762c756149128d38ffdd77a81ea45e11e59669d37041635cf99e2a202d"
 
 
 def test_goodrot_measure_d4_golden_bytes(files):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import ordermotion as om
-from _support import jitter_same_order_type, rand_pair, rand_tuple
+from _support import fixed_pair_planted, jitter_same_order_type, rand_pair, rand_tuple
 
 
 class TestLinearCost:
@@ -139,6 +139,67 @@ class TestEvenPlanner:
         A, B = rand_pair(rng, 4, 3)
         with pytest.raises(om.DimensionMismatchError):
             om.plan_even_d(A, B)
+
+
+def _even_plan_by_two_motions(P, Q):
+    # The planner's definition: run both linear motions in full, keep the
+    # cheaper one, and end a reflected branch with the unscaling segment.
+    minus = [-1] * P.dim
+    mirrored = om.scale_tuple(Q, minus)
+    direct = om.linear_cost(P, Q)
+    reflected = om.linear_cost(P, mirrored)
+    if direct.total <= reflected.total:
+        return direct
+    return om.MotionPlan(
+        n=P.n,
+        d=P.dim,
+        segments=reflected.segments + (om.scaling_segment(mirrored, minus),),
+        ledger=reflected.ledger,
+        total=reflected.total,
+        needs_serialization=reflected.needs_serialization,
+        shared_roots=reflected.shared_roots,
+    )
+
+
+class TestEvenPlannerOnePencilPerSubset:
+    # Per shape: random pairs from seeds 0-2, and planted pairs whose first
+    # seed makes the plan take the reflected branch with shared roots.
+    PLANTED_SEEDS = {(5, 2): (4, 0), (6, 2): (3, 0), (6, 4): (26, 0), (7, 4): (23, 0)}
+
+    def _pairs(self):
+        for (n, d), planted in self.PLANTED_SEEDS.items():
+            for seed in range(3):
+                yield rand_pair(random.Random(seed), n, d)
+            for seed in planted:
+                yield fixed_pair_planted(random.Random(seed), n, d)
+
+    def test_matches_the_two_motions(self):
+        reflected_with_shared = set()
+        for P, Q in self._pairs():
+            plan = om.plan_even_d(P, Q)
+            expected = _even_plan_by_two_motions(P, Q)
+            assert plan.ledger == expected.ledger
+            assert plan.total == expected.total
+            assert plan.segments == expected.segments
+            assert plan.needs_serialization == expected.needs_serialization
+            assert plan.shared_roots == expected.shared_roots
+            if len(plan.segments) == 2 and plan.shared_roots:
+                reflected_with_shared.add(P.dim)
+        assert reflected_with_shared == {2, 4}
+
+    def test_one_pencil_build_per_subset(self, monkeypatch):
+        calls = []
+        build = om.motion.build_pencil
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(om.motion, "build_pencil", counting)
+        for P, Q in self._pairs():
+            calls.clear()
+            om.plan_even_d(P, Q)
+            assert len(calls) == math.comb(P.n, P.dim + 1)
 
 
 class TestOddPlanner:

@@ -71,6 +71,19 @@ class TestBuildPencil:
         with pytest.raises(om.DegenerateTupleError):
             om.build_pencil(good.points, bad.points, [1, 1])
 
+    def test_degenerate_target_reports_subset(self):
+        bad = om.point_tuple([[0, 0], [1, 1], [2, 2]])
+        good = om.point_tuple([[0, 0], [1, 0], [0, 1]])
+        with pytest.raises(om.DegenerateTupleError, match="degenerate target subset") as err:
+            om.build_pencil(good.points, bad.points, [1, 1], (0, 2, 5))
+        assert err.value.subset == (0, 2, 5)
+
+    def test_both_degenerate_reports_source(self):
+        bad = om.point_tuple([[0, 0], [1, 1], [2, 2]])
+        with pytest.raises(om.DegenerateTupleError, match="degenerate source subset") as err:
+            om.build_pencil(bad.points, bad.points, [1, -1], (1, 3, 4))
+        assert err.value.subset == (1, 3, 4)
+
     def test_rejects_zero_scaling(self):
         P = om.point_tuple([[0, 0], [1, 0], [0, 1]])
         with pytest.raises(ValueError):

@@ -65,7 +65,6 @@ class TestGcdAndSquareFree:
                 p = p * RP.from_roots([root] * mult)
             rebuilt = RP.from_coeffs([1])
             for factor, k in om.square_free_decomposition(p):
-                rebuilt = rebuilt * factor ** 1 if k == 0 else rebuilt
                 for _ in range(k):
                     rebuilt = rebuilt * factor
             assert rebuilt.monic() == p.monic()

@@ -47,3 +47,28 @@ def test_traced_functions_resolve():
         except (ImportError, AttributeError):
             missing.append(name)
     assert missing == []
+
+
+def test_no_unused_imports():
+    # Every name a library module imports must be used in that module; the
+    # package's __init__.py imports only to re-export and is left out.
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported: dict[str, int] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders += [
+            f"{path.name}:{line} {name}"
+            for name, line in sorted(imported.items())
+            if name not in used
+        ]
+    assert offenders == []
