@@ -108,12 +108,17 @@ def apply_linear_map(P: PointTuple, matrix: Sequence[Sequence[Fraction]]) -> Poi
 # Exact determinants
 # ---------------------------------------------------------------------------
 
-def _det_int(rows: list[list[int]]) -> int:
-    """Fraction-free Bareiss elimination over the integers."""
+def _det_int(rows: Sequence[Sequence[int]]) -> int:
+    """Integer determinant: closed forms for 1x1 and 3x3 (the planar
+    orientation and pencil size), fraction-free Bareiss elimination
+    otherwise."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    m = [row[:] for row in rows]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    m = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -141,20 +146,28 @@ def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant of a square matrix of rationals.
 
     Denominators are cleared row by row (positive multipliers, so the scaling
-    divides back out exactly) and the integer part is done by Bareiss.
+    divides back out exactly) and the integer part is done by _det_int.
     """
     scale = 1
     int_rows: list[list[int]] = []
     for row in rows:
         lcm = math.lcm(*(c.denominator for c in row)) if row else 1
         scale *= lcm
-        int_rows.append([int(c * lcm) for c in row])
+        int_rows.append([c.numerator * (lcm // c.denominator) for c in row])
     return Fraction(_det_int(int_rows), scale)
 
 
-def orientation_det(points: Sequence[Point]) -> Fraction:
-    """Determinant of the (d+1)x(d+1) matrix with a top row of ones and the
-    points as columns; its sign is the orientation of the (d+1)-tuple."""
+def _homogeneous(p: Point) -> list[int]:
+    """Integer homogeneous coordinates (w, w*x_1, ..., w*x_d) of p, where the
+    weight w > 0 is the lcm of p's denominators."""
+    w = math.lcm(*(c.denominator for c in p))
+    return [w, *(c.numerator * (w // c.denominator) for c in p)]
+
+
+def _orientation_columns(points: Sequence[Point]) -> list[list[int]]:
+    """The columns of the orientation matrix (top row of ones, the points as
+    columns), each scaled by its point's positive weight; the determinant of
+    the transpose is the same, so the columns are returned as rows."""
     d = len(points[0])
     if len(points) != d + 1:
         raise DimensionMismatchError(
@@ -163,15 +176,22 @@ def orientation_det(points: Sequence[Point]) -> Fraction:
     for p in points:
         if len(p) != d:
             raise DimensionMismatchError("points of mixed dimensions")
-    rows: list[list[Fraction]] = [[Fraction(1)] * (d + 1)]
-    for i in range(d):
-        rows.append([p[i] for p in points])
-    return det_rational(rows)
+    return [_homogeneous(p) for p in points]
+
+
+def orientation_det(points: Sequence[Point]) -> Fraction:
+    """Determinant of the (d+1)x(d+1) matrix with a top row of ones and the
+    points as columns; its sign is the orientation of the (d+1)-tuple."""
+    columns = _orientation_columns(points)
+    return Fraction(_det_int(columns), math.prod(col[0] for col in columns))
 
 
 def orient(points: Sequence[Point]) -> int:
-    """Orientation sign of d+1 points in R^d: +1, -1, or 0 (degenerate)."""
-    det = orientation_det(points)
+    """Orientation sign of d+1 points in R^d: +1, -1, or 0 (degenerate).
+
+    Scaling a column by its positive weight keeps the sign, so the sign is
+    read from the integer determinant directly."""
+    det = _det_int(_orientation_columns(points))
     return (det > 0) - (det < 0)
 
 
@@ -233,14 +253,22 @@ class OrderType:
         return OrderType(self.n, self.d, tuple(-s for s in self.signs))
 
 
+def _subset_signs(P: PointTuple) -> Iterator[int]:
+    """Orientation sign of every (d+1)-subset of P in colex order, from
+    integer columns computed once per point."""
+    columns = [_homogeneous(p) for p in P.points]
+    for s in colex_subsets(P.n, P.dim + 1):
+        det = _det_int([columns[i] for i in s])
+        yield (det > 0) - (det < 0)
+
+
 def order_type(P: PointTuple) -> OrderType:
     """Orientation of every (d+1)-subset of P, indexed in colex order."""
     if P.n < P.dim + 1:
         raise ShapeMismatchError(
             f"order type needs at least d+1={P.dim + 1} points, got {P.n}"
         )
-    signs = tuple(orient(P.subtuple(s)) for s in colex_subsets(P.n, P.dim + 1))
-    return OrderType(P.n, P.dim, signs)
+    return OrderType(P.n, P.dim, tuple(_subset_signs(P)))
 
 
 def hamming(t1: OrderType, t2: OrderType) -> int:
@@ -265,12 +293,7 @@ def mirror(P: PointTuple) -> PointTuple:
 
 def is_general_position(P: PointTuple) -> bool:
     """True iff no d+1 points of P lie on a common hyperplane."""
-    if P.n < P.dim + 1:
-        return True
-    for s in colex_subsets(P.n, P.dim + 1):
-        if orient(P.subtuple(s)) == 0:
-            return False
-    return True
+    return 0 not in _subset_signs(P)
 
 
 # ---------------------------------------------------------------------------

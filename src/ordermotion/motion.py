@@ -46,6 +46,7 @@ from .pencil import (
 )
 from .polynomial import (
     RationalPolynomial,
+    distinct_root_counter,
     poly_gcd,
     root_counts,
     sturm_distinct_roots,
@@ -495,10 +496,11 @@ def _subset_flips_sampled(
         raise RetryBudgetError(f"could not find a degeneracy-free grid for {subset}")
 
     flips = 0
+    roots_between = distinct_root_counter(poly)
     stack = list(zip(zip(ts, ts[1:]), zip(signs, signs[1:]), [0] * steps))
     while stack:
         (lo, hi), (slo, shi), depth = stack.pop()
-        count = sturm_distinct_roots(poly, _to_x(lo), _to_x(hi))
+        count = roots_between(_to_x(lo), _to_x(hi))
         if count == 0:
             if slo != shi:
                 raise InternalInvariantError("sign change with no root in between")

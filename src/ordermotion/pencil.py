@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import DegenerateTupleError, DimensionMismatchError
 from .geometry import Point, ScalarLike, as_scalar, det_rational
-from .polynomial import RationalPolynomial, sturm_distinct_roots
+from .polynomial import RationalPolynomial, distinct_root_counter
 
 
 @dataclass(frozen=True)
@@ -207,8 +207,9 @@ def localization_certified(
     are all the roots. When this holds, the number of positive roots equals
     the number of negative products lam_j * r_{j-1} * r_j."""
     intervals = decay_intervals(profile, pencil.lam)
+    count = distinct_root_counter(pencil.poly)
     for lo, hi in intervals:
-        if sturm_distinct_roots(pencil.poly, lo, hi) != 1:
+        if count(lo, hi) != 1:
             return False
     ordered = sorted(intervals)
     for (_, hi), (lo, _) in zip(ordered, ordered[1:]):

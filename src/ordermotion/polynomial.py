@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import EndpointRootError, ZeroPolynomialError
 from .geometry import ScalarLike, as_scalar
@@ -269,6 +269,43 @@ def root_counts(
         if k % 2 == 1:
             sign_changes += count
     return sign_changes, distinct
+
+
+def distinct_root_counter(
+    p: RationalPolynomial,
+) -> Callable[[Fraction | None, Fraction | None], int]:
+    """A function (low, high) -> number of distinct real roots of p on the
+    open interval, as sturm_distinct_roots(p, low, high) returns it, for
+    many intervals of one polynomial.
+
+    The Sturm chain is built once and the variation count at each endpoint
+    is kept, so intervals that share endpoints evaluate the chain there once.
+    The chain ends in gcd(p, p'), and dividing it out changes no variation
+    count away from the roots of p, so V(low) - V(high) counts the distinct
+    roots of any p whose finite endpoints are not roots; on an endpoint root
+    the count falls back to root_counts.
+    """
+    if p.is_zero:
+        raise ZeroPolynomialError("root counting needs a nonzero polynomial")
+    chain = sturm_chain(p)
+    seen: dict[tuple[Fraction | None, int], int | None] = {}
+
+    def variations(x: Fraction | None, side: int) -> int | None:
+        key = (x, side if x is None else 0)
+        if key not in seen:
+            signs = _chain_signs(chain, x, side)
+            seen[key] = None if signs[0] == 0 else _variations(signs)
+        return seen[key]
+
+    def count(low: Fraction | None, high: Fraction | None) -> int:
+        if low is not None and high is not None and not low < high:
+            raise ValueError(f"empty or inverted interval ({low}, {high})")
+        v_low, v_high = variations(low, -1), variations(high, +1)
+        if v_low is None or v_high is None:
+            return root_counts(p, low, high)[1]
+        return v_low - v_high
+
+    return count
 
 
 def sturm_distinct_roots(

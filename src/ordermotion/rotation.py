@@ -39,7 +39,7 @@ from .geometry import (
 )
 from .motion import linear_cost
 from .pencil import build_pencil
-from .polynomial import root_counts, sturm_distinct_roots
+from .polynomial import RationalPolynomial, root_counts, sturm_distinct_roots
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -226,13 +226,16 @@ class GoodnessSample:
     good: bool
 
 
-def is_good(P_sub: PointTuple, Pprime_sub: PointTuple, rho: Rotation) -> GoodnessSample:
-    """Decide whether a rotation is good for one subset pair: the pencil onto
-    the rotated target changes sign at most d/2 times on (0, +inf).
+def _rotated_pencil(
+    P_sub: PointTuple, Pprime_sub: PointTuple, rho: Rotation
+) -> tuple[RationalPolynomial, bool]:
+    """The unit pencil f onto the rotated target, and whether its flip count
+    must be even: d = 2 mod 4 with agreeing endpoint orientations.
 
-    The decision is exact on the rationalized rotation. When d = 2 mod 4 and
-    the endpoint orientations agree, the flip count must be even, which
-    silently sharpens the good bound to (d-1)/2."""
+    For even d the negated rotation moves the target to exactly its point
+    reflection (negating a rationalized float is exact), whose orientations
+    are the same; the pencil onto it is f(-x), so its flips are those of f on
+    (-inf, 0) and the same parity rule holds."""
     d = P_sub.dim
     if d % 2 != 0:
         raise PreconditionError("goodness is defined for even dimensions")
@@ -241,12 +244,31 @@ def is_good(P_sub: PointTuple, Pprime_sub: PointTuple, rho: Rotation) -> Goodnes
     rotated = rho.apply_exact(Pprime_sub)
     ones = (Fraction(1),) * d
     pen = build_pencil(P_sub.points, rotated.points, ones)
-    flips, distinct = root_counts(pen.poly, Fraction(0), None)
-    if d % 4 == 2 and orient(P_sub.points) == orient(rotated.points):
-        if flips % 2 != 0:
-            raise InternalInvariantError("odd flip count between equal orientations")
+    even = d % 4 == 2 and orient(P_sub.points) == orient(rotated.points)
+    return pen.poly, even
+
+
+def _flip_counts(
+    f: RationalPolynomial, low: Fraction | None, high: Fraction | None, even: bool
+) -> tuple[int, int]:
+    """root_counts of f on (low, high), checking the even-flips rule."""
+    flips, distinct = root_counts(f, low, high)
+    if even and flips % 2 != 0:
+        raise InternalInvariantError("odd flip count between equal orientations")
+    return flips, distinct
+
+
+def is_good(P_sub: PointTuple, Pprime_sub: PointTuple, rho: Rotation) -> GoodnessSample:
+    """Decide whether a rotation is good for one subset pair: the pencil onto
+    the rotated target changes sign at most d/2 times on (0, +inf).
+
+    The decision is exact on the rationalized rotation. When d = 2 mod 4 and
+    the endpoint orientations agree, the flip count must be even, which
+    silently sharpens the good bound to (d-1)/2."""
+    f, even = _rotated_pencil(P_sub, Pprime_sub, rho)
+    flips, distinct = _flip_counts(f, Fraction(0), None, even)
     return GoodnessSample(
-        rotation=rho, flips=flips, distinct_roots=distinct, good=flips <= d // 2
+        rotation=rho, flips=flips, distinct_roots=distinct, good=flips <= P_sub.dim // 2
     )
 
 
@@ -276,17 +298,18 @@ def estimate_measure(
     if n_samples < 1:
         raise ValueError("need at least one sample")
     d = P_sub.dim
-    if orient(P_sub.points) != orient(Pprime_sub.points) or orient(P_sub.points) == 0:
+    sign = orient(P_sub.points)
+    if orient(Pprime_sub.points) != sign or sign == 0:
         raise PreconditionError("subset pair must share a nonzero orientation")
     rng = np.random.default_rng(seed)
     rotations = [haar_rotation(d, rng) for _ in range(n_samples)]
-    samples = [is_good(P_sub, Pprime_sub, rho) for rho in rotations]
-    n_good = sum(1 for s in samples if s.good)
-    dichotomy_failures = 0
-    if check_dichotomy:
-        for s in samples:
-            if not s.good and not is_good(P_sub, Pprime_sub, s.rotation.negated()).good:
-                dichotomy_failures += 1
+    n_good = dichotomy_failures = 0
+    for rho in rotations:
+        f, even = _rotated_pencil(P_sub, Pprime_sub, rho)
+        if _flip_counts(f, Fraction(0), None, even)[0] <= d // 2:
+            n_good += 1
+        elif check_dichotomy and _flip_counts(f, None, Fraction(0), even)[0] > d // 2:
+            dichotomy_failures += 1
     fraction = n_good / n_samples
     half_width = math.sqrt(fraction * (1 - fraction) / n_samples)
     return MeasureEstimate(

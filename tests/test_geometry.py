@@ -4,10 +4,11 @@ from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ordermotion as om
+import ordermotion.geometry as geometry
 from _support import rand_tuple
 
 
@@ -251,3 +252,131 @@ class TestScalarParsing:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             om.as_scalar(0.5)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests of the integer kernel against Fraction cofactors
+# ---------------------------------------------------------------------------
+
+def det_reference(rows):
+    """Independent determinant: Fraction cofactor expansion along the first
+    row."""
+    if len(rows) == 1:
+        return F(rows[0][0])
+    total = F(0)
+    for j, c in enumerate(rows[0]):
+        if c != 0:
+            minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+            total += (-1) ** j * F(c) * det_reference(minor)
+    return total
+
+
+def orientation_reference(points):
+    d = len(points[0])
+    rows = [[F(1)] * (d + 1)] + [[p[i] for p in points] for i in range(d)]
+    return det_reference(rows)
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+# Small fractions, and big ones with unrelated denominators, of both signs.
+exact_coord = st.one_of(
+    st.fractions(min_value=-8, max_value=8, max_denominator=16),
+    st.builds(F, st.integers(-(10 ** 24), 10 ** 24), st.integers(1, 10 ** 18)),
+)
+
+
+@st.composite
+def planted_points(draw, extra: int):
+    """(d, points): d+1+extra points in R^d, d = 2..5, where one point may be
+    replaced by a copy of another, a midpoint of two others, or an affine
+    combination of d others (at d=3 with one extra point: a coplanar fifth
+    point)."""
+    d = draw(st.integers(2, 5))
+    n = d + 1 + extra
+    pts = [tuple(draw(exact_coord) for _ in range(d)) for _ in range(n)]
+    plant = draw(st.sampled_from(["none", "repeat", "midpoint", "affine"]))
+    k = draw(st.integers(0, n - 1))
+    others = draw(st.permutations([i for i in range(n) if i != k]))
+    if plant == "repeat":
+        pts[k] = pts[others[0]]
+    elif plant == "midpoint":
+        a, b = pts[others[0]], pts[others[1]]
+        pts[k] = tuple((x + y) / 2 for x, y in zip(a, b))
+    elif plant == "affine":
+        weights = [draw(st.fractions(-3, 3, max_denominator=5)) for _ in range(d - 1)]
+        weights.append(1 - sum(weights))
+        chosen = [pts[i] for i in others[:d]]
+        pts[k] = tuple(sum(w * p[c] for w, p in zip(weights, chosen)) for c in range(d))
+    return d, pts
+
+
+@given(planted_points(extra=0))
+@settings(max_examples=120, deadline=None)
+def test_orient_and_orientation_det_match_cofactor_reference(case):
+    _, pts = case
+    expected = orientation_reference(pts)
+    assert om.orientation_det(pts) == expected
+    assert om.orient(pts) == sign(expected)
+
+
+@given(planted_points(extra=1))
+@settings(max_examples=60, deadline=None)
+def test_order_type_matches_cofactor_reference(case):
+    d, pts = case
+    P = om.point_tuple(pts)
+    expected = tuple(
+        sign(orientation_reference(P.subtuple(s))) for s in om.colex_subsets(P.n, d + 1)
+    )
+    assert om.order_type(P).signs == expected
+    assert om.is_general_position(P) == (0 not in expected)
+
+
+def test_coplanar_fifth_point_in_3d():
+    pts = [[0, 0, 0], [F(7, 3), 1, -2], [-1, F(5, 11), 4], [3, 3, F(1, 2)]]
+    a, b = F(2, 7), F(-5, 3)
+    pts.append([a * x + b * y + (1 - a - b) * z for x, y, z in zip(*pts[:3])])
+    P = om.point_tuple(pts)
+    t = om.order_type(P)
+    assert t.sign_of((0, 1, 2, 4)) == 0
+    assert t.signs == tuple(
+        sign(orientation_reference(P.subtuple(s))) for s in om.colex_subsets(5, 4)
+    )
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda k: st.lists(st.lists(exact_coord | st.just(F(0)), min_size=k, max_size=k),
+                       min_size=k, max_size=k)
+))
+@settings(max_examples=120, deadline=None)
+def test_det_rational_matches_cofactor_reference(rows):
+    assert geometry.det_rational(rows) == det_reference(rows)
+
+
+small_or_huge = st.integers(-3, 3) | st.integers(-(10 ** 20), 10 ** 20)
+
+
+@given(st.lists(st.lists(small_or_huge, min_size=3, max_size=3), min_size=3, max_size=3))
+@example([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+@example([[0, 1, 2], [0, 3, 4], [5, 6, 7]])
+@example([[0, 1, 2], [0, 3, 4], [0, 6, 7]])
+@example([[1, 2, 3], [2, 4, 6], [0, 5, 1]])
+@settings(max_examples=150, deadline=None)
+def test_closed_form_3x3_matches_bareiss(rows):
+    # Bordering with a unit row and column keeps the determinant and sends
+    # it through Bareiss elimination, zero pivots and row swaps included.
+    bordered = [[1, 0, 0, 0]] + [[0, *row] for row in rows]
+    assert geometry._det_int(rows) == geometry._det_int(bordered) == det_reference(rows)
+
+
+@pytest.mark.parametrize("fn", [om.orient, om.orientation_det])
+def test_dimension_errors_keep_type_and_message(fn):
+    with pytest.raises(om.DimensionMismatchError) as err:
+        fn(((F(0), F(0)), (F(1), F(0))))
+    assert str(err.value) == "orientation needs d+1 points in R^d, got 2 points in R^2"
+    with pytest.raises(om.DimensionMismatchError) as err:
+        fn(((F(0), F(0)), (F(1), F(0)), (F(0), F(1), F(2))))
+    assert str(err.value) == "points of mixed dimensions"

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 import ordermotion as om
+import ordermotion.polynomial as poly_mod
 from ordermotion import RationalPolynomial as RP
+from _support import fixed_pair_planted, rand_tuple
 
 
 class TestArithmetic:
@@ -156,3 +158,106 @@ class TestSignChanges:
             flips = om.sign_change_count(p, F(0), None)
             distinct = om.sturm_distinct_roots(p, F(0), None)
             assert flips <= distinct
+
+
+class TestDistinctRootCounter:
+    """One Sturm chain per polynomial, counted on many intervals."""
+
+    @staticmethod
+    def planted(rng):
+        p = RP.from_coeffs([F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))])
+        roots = []
+        for _ in range(rng.randint(1, 4)):
+            root = F(rng.randint(-12, 12), rng.randint(1, 3))
+            roots.append(root)
+            p = p * RP.from_roots([root] * rng.randint(1, 3))
+        if rng.random() < 0.5:
+            p = p * RP.from_coeffs([rng.randint(1, 9), 0, 1])
+        return p, roots
+
+    def test_matches_root_counts_on_many_intervals(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            p, roots = self.planted(rng)
+            cuts = sorted(
+                set(roots[:2] + [F(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(5)])
+            )
+            intervals = [(None, None)]
+            intervals += [(None, c) for c in cuts] + [(c, None) for c in cuts]
+            intervals += [(a, b) for i, a in enumerate(cuts) for b in cuts[i + 1:]]
+            rng.shuffle(intervals)
+            count = om.distinct_root_counter(p)
+            for low, high in intervals:
+                assert count(low, high) == om.root_counts(p, low, high)[1], (p, low, high)
+
+    def test_chain_built_once_away_from_endpoint_roots(self, monkeypatch):
+        calls = []
+        real = poly_mod.sturm_chain
+        monkeypatch.setattr(poly_mod, "sturm_chain", lambda p: calls.append(p) or real(p))
+        p = RP.from_roots([1, 1, 3, -2]) * RP.from_coeffs([5, 0, 1])
+        count = om.distinct_root_counter(p)
+        assert [count(F(0), None), count(F(2), F(4)), count(None, F(2)), count(F(0), F(2))] == [
+            2, 1, 2, 1
+        ]
+        assert len(calls) == 1
+        # An endpoint root falls back to root_counts, which builds its own.
+        assert count(F(1), F(4)) == 1
+        assert len(calls) > 1
+
+    def test_errors(self):
+        with pytest.raises(om.ZeroPolynomialError):
+            om.distinct_root_counter(RP.from_coeffs([]))
+        with pytest.raises(ValueError):
+            om.distinct_root_counter(RP.from_roots([1]))(F(2), F(1))
+
+
+# A d=2 pair whose subset (0, 1, 2) has the pencil -(x - 3)^2: the triangle
+# touches degeneracy at t = 3/4 without flipping (found by a search over
+# small integer coordinates).
+TANGENT_P = [[-3, -2], [-3, 1], [0, 1], [-2, -3]]
+TANGENT_Q = [[3, -1], [3, -2], [2, 1], [-3, -3]]
+
+
+class TestSharedCounterCallers:
+    def test_discretized_cost_on_a_tangential_degeneracy(self):
+        P, Q = om.point_tuple(TANGENT_P), om.point_tuple(TANGENT_Q)
+        f = om.build_pencil(P.subtuple((0, 1, 2)), Q.subtuple((0, 1, 2)), (1, 1)).poly
+        assert f == RP.from_roots([3, 3]) * -1
+        plan = om.linear_cost(P, Q)
+        assert plan.ledger[0] == ((0, 1, 2), 0)
+        assert om.discretized_cost(P, Q) == plan.total == 4
+
+    def test_discretized_cost_on_shared_roots(self):
+        rng = random.Random(53)
+        for n in (4, 5):
+            P, Q = fixed_pair_planted(rng, n, 2)
+            reflected = om.scale_tuple(Q, (-1, -1))
+            plan = om.linear_cost(P, reflected)
+            assert plan.shared_roots
+            assert om.discretized_cost(P, reflected) == plan.total
+
+    def test_localization_matches_per_interval_rule(self):
+        def reference(pen, prof):
+            intervals = om.decay_intervals(prof, pen.lam)
+            if any(om.sturm_distinct_roots(pen.poly, lo, hi) != 1 for lo, hi in intervals):
+                return False
+            ordered = sorted(intervals)
+            if any(not hi <= lo for (_, hi), (lo, _) in zip(ordered, ordered[1:])):
+                return False
+            return len(intervals) == pen.poly.degree
+
+        rng = random.Random(59)
+        outcomes = []
+        while len(outcomes) < 60:
+            d = rng.choice((2, 3))
+            A, B = rand_tuple(rng, d + 1, d), rand_tuple(rng, d + 1, d)
+            prof = om.coefficient_profile(A.points, B.points)
+            if not prof.nowhere_zero:
+                continue
+            signs = [rng.choice((-1, 1)) for _ in range(d)]
+            eta = F(1, rng.choice((2, 4, 16, 256, 4096)))
+            pen = om.build_pencil(A.points, B.points, om.decay_lambdas(signs, eta))
+            expected = reference(pen, prof)
+            assert om.localization_certified(pen, prof) == expected
+            outcomes.append(expected)
+        assert True in outcomes and False in outcomes

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ordermotion as om
+import ordermotion.rotation as rotation_mod
 from _support import (
     near_grid,
     rand_tuple,
@@ -154,6 +155,38 @@ class TestEstimateMeasure:
         B = om.point_tuple([[0, 0], [0, 1], [1, 0]])
         with pytest.raises(om.PreconditionError):
             om.estimate_measure(A, B, n_samples=10, seed=0)
+
+    @staticmethod
+    def same_orientation_pair(rng, d):
+        while True:
+            A, B = rand_tuple(rng, d + 1, d), rand_tuple(rng, d + 1, d)
+            if om.orient(A.points) == om.orient(B.points):
+                return A, B
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_negated_rotation_pencil_is_the_reflected_pencil(self, d):
+        # The dichotomy recheck reads the negation's flips from f on
+        # (-inf, 0) instead of rotating and building a second pencil.
+        rng = random.Random(8 + d)
+        gen = np.random.default_rng(d)
+        A, B = self.same_orientation_pair(rng, d)
+        for _ in range(12):
+            rho = om.haar_rotation(d, gen)
+            f = om.build_pencil(A.points, rho.apply_exact(B).points, (1,) * d).poly
+            negated = om.is_good(A, B, rho.negated())
+            assert om.root_counts(f, None, F(0)) == (negated.flips, negated.distinct_roots)
+
+    def test_one_pencil_per_sample_with_dichotomy(self, monkeypatch):
+        rng = random.Random(5)
+        A, B = same_orientation_triple_pair(rng)
+        pencils = []
+        real = rotation_mod.build_pencil
+        monkeypatch.setattr(
+            rotation_mod, "build_pencil", lambda *a: pencils.append(a) or real(*a)
+        )
+        est = om.estimate_measure(A, B, n_samples=60, seed=11)
+        assert est.n_good < est.n_samples and est.dichotomy_failures == 0
+        assert len(pencils) == 60
 
     def test_lower_semicontinuity_at_test_scale(self):
         # nudging the pair slightly must not drop the estimate by more than
