@@ -253,13 +253,17 @@ class OrderType:
         return OrderType(self.n, self.d, tuple(-s for s in self.signs))
 
 
-def _subset_signs(P: PointTuple) -> Iterator[int]:
-    """Orientation sign of every (d+1)-subset of P in colex order, from
-    integer columns computed once per point."""
+def _subset_dets(
+    P: PointTuple,
+) -> Iterator[tuple[tuple[int, ...], list[list[int]], int]]:
+    """Every (d+1)-subset of P in colex order with its integer orientation
+    columns and their determinant, which has the orientation's sign and,
+    divided by the product of the weights col[0], its value. Each point is
+    converted once."""
     columns = [_homogeneous(p) for p in P.points]
     for s in colex_subsets(P.n, P.dim + 1):
-        det = _det_int([columns[i] for i in s])
-        yield (det > 0) - (det < 0)
+        rows = [columns[i] for i in s]
+        yield s, rows, _det_int(rows)
 
 
 def order_type(P: PointTuple) -> OrderType:
@@ -268,7 +272,8 @@ def order_type(P: PointTuple) -> OrderType:
         raise ShapeMismatchError(
             f"order type needs at least d+1={P.dim + 1} points, got {P.n}"
         )
-    return OrderType(P.n, P.dim, tuple(_subset_signs(P)))
+    signs = tuple((det > 0) - (det < 0) for _, _, det in _subset_dets(P))
+    return OrderType(P.n, P.dim, signs)
 
 
 def hamming(t1: OrderType, t2: OrderType) -> int:
@@ -293,7 +298,7 @@ def mirror(P: PointTuple) -> PointTuple:
 
 def is_general_position(P: PointTuple) -> bool:
     """True iff no d+1 points of P lie on a common hyperplane."""
-    return 0 not in _subset_signs(P)
+    return all(det != 0 for _, _, det in _subset_dets(P))
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +330,12 @@ def robust_radius(P: PointTuple) -> RobustRadius:
             f"robust radius needs at least d+1={d + 1} points, got {P.n}"
         )
     min_abs: Fraction | None = None
-    for s in colex_subsets(P.n, d + 1):
-        det = orientation_det(P.subtuple(s))
+    for s, rows, det in _subset_dets(P):
         if det == 0:
             raise DegenerateTupleError(
                 f"tuple is degenerate on subset {s}", subset=s
             )
-        a = abs(det)
+        a = Fraction(abs(det), math.prod(col[0] for col in rows))
         if min_abs is None or a < min_abs:
             min_abs = a
     if min_abs is None:

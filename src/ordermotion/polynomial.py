@@ -275,8 +275,8 @@ def distinct_root_counter(
     p: RationalPolynomial,
 ) -> Callable[[Fraction | None, Fraction | None], int]:
     """A function (low, high) -> number of distinct real roots of p on the
-    open interval, as sturm_distinct_roots(p, low, high) returns it, for
-    many intervals of one polynomial.
+    open interval (low, high), where None stands for -inf / +inf, for many
+    intervals of one polynomial; roots on a finite endpoint are excluded.
 
     The Sturm chain is built once and the variation count at each endpoint
     is kept, so intervals that share endpoints evaluate the chain there once.
@@ -315,8 +315,8 @@ def sturm_distinct_roots(
 ) -> int:
     """Exact number of distinct real roots of p in the open interval
     (low, high), where None stands for -inf / +inf; roots landing exactly on
-    a finite endpoint are excluded."""
-    return root_counts(p, low, high)[1]
+    a finite endpoint are excluded; distinct_root_counter for one interval."""
+    return distinct_root_counter(p)(low, high)
 
 
 def sign_change_count(

@@ -293,8 +293,11 @@ def estimate_measure(
     same-orientation subset pair; the true measure always exceeds 1/2.
 
     The reported half-width is one binomial standard error. With the
-    dichotomy check on, every rotation that fails to be good is verified to
-    have a good negation, which the root-splitting argument guarantees."""
+    dichotomy check on, every rotation that fails to be good is checked to
+    have a good negation, read from the same pencil f as its flips on
+    (-inf, 0). Since f(0) != 0 and deg f <= d, the flips on the two half-lines
+    sum to at most d, so the check holds whenever root_counts is right; it
+    guards the root counter, not an independently built pencil."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
     d = P_sub.dim

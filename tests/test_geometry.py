@@ -324,14 +324,18 @@ def test_orient_and_orientation_det_match_cofactor_reference(case):
 
 @given(planted_points(extra=1))
 @settings(max_examples=60, deadline=None)
-def test_order_type_matches_cofactor_reference(case):
+def test_order_type_and_robust_radius_match_cofactor_reference(case):
     d, pts = case
     P = om.point_tuple(pts)
-    expected = tuple(
-        sign(orientation_reference(P.subtuple(s))) for s in om.colex_subsets(P.n, d + 1)
-    )
+    dets = [orientation_reference(P.subtuple(s)) for s in om.colex_subsets(P.n, d + 1)]
+    expected = tuple(sign(det) for det in dets)
     assert om.order_type(P).signs == expected
     assert om.is_general_position(P) == (0 not in expected)
+    if 0 in expected:
+        with pytest.raises(om.DegenerateTupleError):
+            om.robust_radius(P)
+    else:
+        assert om.robust_radius(P).min_abs_det == min(abs(det) for det in dets)
 
 
 def test_coplanar_fifth_point_in_3d():

@@ -49,7 +49,6 @@ def check(p: RP, low, high) -> None:
     expected = sympy_counts(p, low, high)
     assert om.root_counts(p, low, high) == expected, (p, low, high)
     assert om.sturm_distinct_roots(p, low, high) == expected[1]
-    assert om.distinct_root_counter(p)(low, high) == expected[1]
     if any(e is not None and p(e) == 0 for e in (low, high)):
         with pytest.raises(om.EndpointRootError):
             om.sign_change_count(p, low, high)

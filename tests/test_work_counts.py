@@ -50,7 +50,7 @@ def test_discretized_cost_builds_one_chain_per_subset(monkeypatch):
         assert len(chains) == math.comb(n, d + 1)
 
 
-def test_orientation_signs_clear_no_fraction_matrix(monkeypatch):
+def test_orientation_determinants_clear_no_fraction_matrix(monkeypatch):
     rng = random.Random(71)
     P = rand_tuple(rng, 6, 3)
     dets = count_calls(monkeypatch, geometry, "det_rational")
@@ -58,6 +58,7 @@ def test_orientation_signs_clear_no_fraction_matrix(monkeypatch):
     om.order_type(P)
     assert len(weights) == P.n  # each point converted once, not once per subset
     om.is_general_position(P)
+    om.robust_radius(P)
     om.orient(P.subtuple((0, 1, 2, 3)))
     om.orientation_det(((F(1, 3), F(0)), (F(0), F(2, 7)), (F(5), F(5))))
     assert dets == []
