@@ -27,13 +27,14 @@ from .errors import (
 from .geometry import (
     PointTuple,
     ScalarLike,
+    _det_int,
+    _homogeneous,
     apply_linear_map,
     as_scalar,
     colex_subsets,
     det_rational,
     is_general_position,
     order_type,
-    orient,
     robust_radius,
 )
 from .pencil import (
@@ -44,13 +45,7 @@ from .pencil import (
     localization_certified,
     sign_rule_flips,
 )
-from .polynomial import (
-    RationalPolynomial,
-    distinct_root_counter,
-    poly_gcd,
-    root_counts,
-    sturm_distinct_roots,
-)
+from .polynomial import IntPoly, _distinct_roots, _gcd, _root_counter, _root_counts
 
 LINEAR = "linear"
 ZERO_COST_SCALING = "zero-cost-scaling"
@@ -98,11 +93,12 @@ def _check_pair(P: PointTuple, Q: PointTuple) -> None:
 
 def _unit_pencils(
     P: PointTuple, Ptarget: PointTuple
-) -> list[tuple[tuple[int, ...], RationalPolynomial]]:
-    """The pencil of every (d+1)-subset under unit scalings, in colex order."""
+) -> list[tuple[tuple[int, ...], IntPoly]]:
+    """The pencil of every (d+1)-subset under unit scalings, in colex order,
+    as its primitive integer coefficients."""
     ones = (Fraction(1),) * P.dim
     return [
-        (s, build_pencil(P.subtuple(s), Ptarget.subtuple(s), ones, s).poly)
+        (s, build_pencil(P.subtuple(s), Ptarget.subtuple(s), ones, s).coeffs)
         for s in colex_subsets(P.n, P.dim + 1)
     ]
 
@@ -110,7 +106,7 @@ def _unit_pencils(
 def _plan_from_counts(
     P: PointTuple,
     segments: tuple[MotionSegment, ...],
-    pencils: list[tuple[tuple[int, ...], RationalPolynomial]],
+    pencils: list[tuple[tuple[int, ...], IntPoly]],
     counts: list[tuple[int, int]],
     low: Fraction | None,
     high: Fraction | None,
@@ -127,8 +123,8 @@ def _plan_from_counts(
         live = [pen for pen, (_, distinct) in zip(pencils, counts) if distinct > 0]
         for i in range(len(live)):
             for j in range(i + 1, len(live)):
-                g = poly_gcd(live[i][1], live[j][1])
-                if g.degree >= 1 and sturm_distinct_roots(g, low, high) > 0:
+                g = _gcd(live[i][1], live[j][1])
+                if len(g) > 1 and _distinct_roots(g, low, high) > 0:
                     shared.append((live[i][0], live[j][0]))
     return MotionPlan(
         n=P.n,
@@ -153,7 +149,7 @@ def linear_cost(
     """
     _check_pair(P, Ptarget)
     pencils = _unit_pencils(P, Ptarget)
-    counts = [root_counts(poly, Fraction(0), None) for _, poly in pencils]
+    counts = [_root_counts(c, Fraction(0), None) for _, c in pencils]
     segment = MotionSegment(kind=LINEAR, start=P, end=Ptarget)
     return _plan_from_counts(
         P, (segment,), pencils, counts, Fraction(0), None, check_simultaneous
@@ -206,8 +202,8 @@ def plan_even_d(P: PointTuple, Pprime: PointTuple) -> MotionPlan:
         raise DimensionMismatchError(f"even-dimension planner called with d={d}")
     pencils = _unit_pencils(P, Pprime)
     zero = Fraction(0)
-    direct = [root_counts(poly, zero, None) for _, poly in pencils]
-    reflected = [root_counts(poly, None, zero) for _, poly in pencils]
+    direct = [_root_counts(c, zero, None) for _, c in pencils]
+    reflected = [_root_counts(c, None, zero) for _, c in pencils]
     direct_total = sum(flips for flips, _ in direct)
     reflected_total = sum(flips for flips, _ in reflected)
     bound = (d // 2) * math.comb(P.n, d + 1)
@@ -300,19 +296,25 @@ def certify_decay_scale(
     max_halvings: int = 60,
 ) -> Fraction:
     """One eta certified (by Sturm counts) to localize a single root of every
-    subset pencil in each decay interval, uniformly over all subsets."""
+    subset pencil in each decay interval, uniformly over all subsets: the
+    first of start, start/2, start/4, ... at which every subset certifies.
+
+    At each halved eta the subset that failed at the previous one is checked
+    first, then the rest in colex order; one subset usually holds out over
+    several halvings, so most rebuilds of the others are skipped. The order
+    does not change which eta is returned."""
     if profiles is None:
         profiles = subset_profiles(P, Ptarget)
     eta = start
+    order = list(profiles)
     for _ in range(max_halvings):
         lam = decay_lambdas(signs, eta)
-        ok = True
-        for subset, prof in profiles.items():
+        for subset in order:
             pen = build_pencil(P.subtuple(subset), Ptarget.subtuple(subset), lam, subset)
-            if not localization_certified(pen, prof):
-                ok = False
+            if not localization_certified(pen, profiles[subset]):
+                order = [subset, *(s for s in profiles if s != subset)]
                 break
-        if ok:
+        else:
             return eta
         eta = eta / 2
     raise RetryBudgetError(
@@ -372,8 +374,9 @@ def plan_odd_d(
     scaled_target = scale_tuple(Pq, lam)
     inverse = tuple(1 / v for v in lam)
 
-    tail = linear_cost(Pq, Pprime, check_simultaneous=False)
-    if tail.total != 0:
+    # Unperturbed, the return segment is the identity motion and costs
+    # nothing; a perturbed one must cost nothing too.
+    if Pq is not Pprime and linear_cost(Pq, Pprime, check_simultaneous=False).total != 0:
         raise InternalInvariantError(
             "perturbation left the rigidity radius; the return segment has cost"
         )
@@ -450,11 +453,20 @@ def perturb_general(
 # Discretized oracle
 # ---------------------------------------------------------------------------
 
-def _interpolate(P: PointTuple, Q: PointTuple, subset, t: Fraction):
-    s = 1 - t
-    return tuple(
-        tuple(s * a + t * b for a, b in zip(P.points[i], Q.points[i])) for i in subset
-    )
+def _orient_at(source: list[list[int]], target: list[list[int]], t: Fraction) -> int:
+    """Orientation sign of the subset interpolated at time t = k/m.
+
+    With homogeneous columns (w_p, a) = w_p*(1, p) and (w_q, b) = w_q*(1, q),
+    the column (1, (1-t)*p + t*q) scaled by the positive integer w_p*w_q*m is
+    (w_p*w_q*m, (m-k)*w_q*a + k*w_p*b), so the integer determinant of
+    those columns has the sign of orient on the interpolated points."""
+    k, m = t.numerator, t.denominator
+    columns = [
+        [wp * wq * m, *((m - k) * wq * x + k * wp * y for x, y in zip(a, b))]
+        for (wp, *a), (wq, *b) in zip(source, target)
+    ]
+    det = _det_int(columns)
+    return (det > 0) - (det < 0)
 
 
 def _to_x(t: Fraction) -> Fraction | None:
@@ -469,26 +481,37 @@ def discretized_cost(
 ) -> int:
     """Count orientation flips by sampling exact signs on a rational time
     grid, refining until Sturm counts certify at most one degeneracy per
-    grid cell. Serves as an independent check of linear_cost."""
+    grid cell. Serves as an independent check of linear_cost: the grid signs
+    come from the interpolated points, never from the pencil. Each point is
+    converted to integer columns once."""
     _check_pair(P, Ptarget)
+    source = [_homogeneous(p) for p in P.points]
+    target = [_homogeneous(q) for q in Ptarget.points]
     return sum(
-        _subset_flips_sampled(P, Ptarget, subset, poly, initial_steps, max_depth)
-        for subset, poly in _unit_pencils(P, Ptarget)
+        _subset_flips_sampled(
+            [source[i] for i in subset],
+            [target[i] for i in subset],
+            subset,
+            coeffs,
+            initial_steps,
+            max_depth,
+        )
+        for subset, coeffs in _unit_pencils(P, Ptarget)
     )
 
 
 def _subset_flips_sampled(
-    P: PointTuple,
-    Q: PointTuple,
+    source: list[list[int]],
+    target: list[list[int]],
     subset,
-    poly: RationalPolynomial,
+    coeffs: IntPoly,
     initial_steps: int,
     max_depth: int,
 ) -> int:
     steps = initial_steps
     for _ in range(8):
         ts = [Fraction(k, steps) for k in range(steps + 1)]
-        signs = [orient(_interpolate(P, Q, subset, t)) for t in ts]
+        signs = [_orient_at(source, target, t) for t in ts]
         if 0 not in signs:
             break
         steps = steps * 2 + 1  # degenerate grid node: move every interior node
@@ -496,7 +519,7 @@ def _subset_flips_sampled(
         raise RetryBudgetError(f"could not find a degeneracy-free grid for {subset}")
 
     flips = 0
-    roots_between = distinct_root_counter(poly)
+    roots_between = _root_counter(coeffs)
     stack = list(zip(zip(ts, ts[1:]), zip(signs, signs[1:]), [0] * steps))
     while stack:
         (lo, hi), (slo, shi), depth = stack.pop()
@@ -512,11 +535,11 @@ def _subset_flips_sampled(
         if depth >= max_depth:
             raise RetryBudgetError("refinement budget exhausted")
         mid = (lo + hi) / 2
-        smid = orient(_interpolate(P, Q, subset, mid))
+        smid = _orient_at(source, target, mid)
         shift = 1
         while smid == 0:
             mid = (lo * (2 ** shift) + hi) / (2 ** shift + 1)
-            smid = orient(_interpolate(P, Q, subset, mid))
+            smid = _orient_at(source, target, mid)
             shift += 1
             if shift > 8:
                 raise RetryBudgetError("could not split around a degenerate time")

@@ -14,23 +14,35 @@ to 1, which pins each root inside an explicit interval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .errors import DegenerateTupleError, DimensionMismatchError
-from .geometry import Point, ScalarLike, as_scalar, det_rational
-from .polynomial import RationalPolynomial, distinct_root_counter
+from .geometry import Point, ScalarLike, _det_int, _homogeneous, as_scalar, det_rational
+from .polynomial import RationalPolynomial, _root_counter
 
 
 @dataclass(frozen=True)
 class PencilPolynomial:
-    """The motion polynomial of one (d+1)-subset, with its scalings."""
+    """The motion polynomial of one (d+1)-subset, with its scalings.
 
-    poly: RationalPolynomial
+    `coeffs` are primitive integer coefficients, low to high: the exact
+    pencil divided by the positive rational `scale`, so they have the
+    pencil's roots and signs, which is all the root counts read."""
+
+    coeffs: tuple[int, ...]
+    scale: Fraction
     lam: tuple[Fraction, ...]
     subset: tuple[int, ...] | None = None
+
+    @property
+    def poly(self) -> RationalPolynomial:
+        """The exact pencil, coeffs times scale."""
+        num, den = self.scale.numerator, self.scale.denominator
+        return RationalPolynomial(tuple(Fraction(c * num, den) for c in self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -51,19 +63,23 @@ class CoefficientProfile:
 
 
 @lru_cache(maxsize=None)
-def _lagrange_basis(degree: int) -> tuple[RationalPolynomial, ...]:
-    """Lagrange basis over the integer nodes 0..degree."""
-    basis = []
-    for i in range(degree + 1):
-        poly = RationalPolynomial.from_coeffs([1])
-        for j in range(degree + 1):
-            if j == i:
-                continue
-            poly = poly * RationalPolynomial.from_coeffs(
-                [Fraction(-j, i - j), Fraction(1, i - j)]
-            )
-        basis.append(poly)
-    return tuple(basis)
+def _newton_to_monomial(degree: int) -> tuple[tuple[int, ...], ...]:
+    """Row m holds degree!/m! times the monomial coefficients of the falling
+    factorial x(x-1)...(x-m+1). Newton's forward formula writes a polynomial
+    F of this degree as the sum over m of its m-th forward difference at 0,
+    over the nodes 0..degree, times that falling factorial over m!; so the
+    sum of the differences times the rows is degree! * F, with integer
+    coefficients when the node values are integers."""
+    rows = []
+    falling = [1]
+    for m in range(degree + 1):
+        factor = math.factorial(degree) // math.factorial(m)
+        rows.append(tuple(factor * c for c in falling))
+        shifted = [0] + falling
+        for i, c in enumerate(falling):
+            shifted[i] -= m * c
+        falling = shifted
+    return tuple(rows)
 
 
 def _validate_pair(p_sub: Sequence[Point], q_sub: Sequence[Point]) -> int:
@@ -84,12 +100,17 @@ def build_pencil(
 ) -> PencilPolynomial:
     """Expand the pencil determinant into an explicit polynomial, exactly.
 
-    The determinant is evaluated at the integer nodes 0..d and interpolated;
-    each node evaluation is an exact rational determinant, so the resulting
-    coefficients are exact. Degenerate endpoints are rejected, the source
-    first: f(0) is the source's orientation determinant, and the x^d
-    coefficient is prod(lam) times the target's, so a degenerate target
-    shows as a degree below d.
+    Column j of the pencil matrix, (1, p_j + x*lam*q_j), is scaled by the
+    positive integer w_p*w_q*D, where w_p, w_q are the homogeneous weights of
+    p_j and q_j and D is the lcm of the scalings' denominators. It becomes
+    (w_p*w_q*D, w_q*D*a_j + x*w_p*L*b_j) with a_j, b_j the integer
+    coordinates and L = D*lam, which is linear in x with integer entries. So
+    the determinant at each integer node 0..d is one integer determinant, and
+    forward differences over the nodes give integer coefficients, made
+    primitive. Degenerate endpoints are rejected, the source first: f(0) is
+    the source's orientation determinant times a positive factor, and the x^d
+    coefficient is prod(lam) times the target's, so a degenerate target shows
+    as a degree below d.
     """
     d = _validate_pair(p_sub, q_sub)
     lam_t = tuple(as_scalar(v) for v in lam)
@@ -98,24 +119,40 @@ def build_pencil(
     if any(v == 0 for v in lam_t):
         raise ValueError("pencil scalings must be nonzero")
 
-    values = []
-    for node in range(d + 1):
-        x = Fraction(node)
-        rows: list[list[Fraction]] = [[Fraction(1)] * (d + 1)]
-        for i in range(d):
-            coef = x * lam_t[i]
-            rows.append([p[i] + coef * q[i] for p, q in zip(p_sub, q_sub)])
-        values.append(det_rational(rows))
+    den = math.lcm(*(v.denominator for v in lam_t))
+    scaled = [v.numerator * (den // v.denominator) for v in lam_t]
+    columns, slopes = [], []
+    weight = den ** (d + 1)
+    for p, q in zip(p_sub, q_sub):
+        (wp, *a), (wq, *b) = _homogeneous(p), _homogeneous(q)
+        weight *= wp * wq
+        columns.append([wp * wq * den, *(wq * den * c for c in a)])
+        slopes.append([0, *(wp * s * c for s, c in zip(scaled, b))])
+    values = [_det_int(columns)]
+    for _ in range(d):
+        columns = [[u + v for u, v in zip(col, slope)] for col, slope in zip(columns, slopes)]
+        values.append(_det_int(columns))
     if values[0] == 0:
         raise DegenerateTupleError("degenerate source subset", subset=subset)
 
-    poly = RationalPolynomial(())
-    for value, basis in zip(values, _lagrange_basis(d)):
-        if value != 0:
-            poly = poly + basis * value
-    if poly.degree < d:
+    differences = []
+    while values:
+        differences.append(values[0])
+        values = [v - u for u, v in zip(values, values[1:])]
+    coeffs = [0] * (d + 1)
+    for diff, row in zip(differences, _newton_to_monomial(d)):
+        if diff:
+            for k, c in enumerate(row):
+                coeffs[k] += diff * c
+    if coeffs[d] == 0:
         raise DegenerateTupleError("degenerate target subset", subset=subset)
-    return PencilPolynomial(poly=poly, lam=lam_t, subset=subset)
+    content = math.gcd(*coeffs)
+    return PencilPolynomial(
+        coeffs=tuple(c // content for c in coeffs),
+        scale=Fraction(content, math.factorial(d) * weight),
+        lam=lam_t,
+        subset=subset,
+    )
 
 
 def coefficient_profile(
@@ -207,7 +244,7 @@ def localization_certified(
     are all the roots. When this holds, the number of positive roots equals
     the number of negative products lam_j * r_{j-1} * r_j."""
     intervals = decay_intervals(profile, pencil.lam)
-    count = distinct_root_counter(pencil.poly)
+    count = _root_counter(pencil.coeffs)
     for lo, hi in intervals:
         if count(lo, hi) != 1:
             return False
@@ -215,7 +252,7 @@ def localization_certified(
     for (_, hi), (lo, _) in zip(ordered, ordered[1:]):
         if not hi <= lo:
             return False
-    return len(intervals) == pencil.poly.degree
+    return len(intervals) == len(pencil.coeffs) - 1
 
 
 def sign_rule_flips(profile: CoefficientProfile, signs: Sequence[int]) -> int:

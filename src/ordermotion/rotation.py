@@ -39,7 +39,7 @@ from .geometry import (
 )
 from .motion import linear_cost
 from .pencil import build_pencil
-from .polynomial import RationalPolynomial, root_counts, sturm_distinct_roots
+from .polynomial import IntPoly, _distinct_roots, _root_counts
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -211,7 +211,7 @@ def simplex_motion_constant(Q: PointTuple, rho: Rotation) -> bool:
     rotated = rho.apply_exact(Q)
     ones = (Fraction(1),) * Q.dim
     pen = build_pencil(Q.points, rotated.points, ones)
-    return sturm_distinct_roots(pen.poly, Fraction(0), None) == 0
+    return _distinct_roots(pen.coeffs, Fraction(0), None) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +228,10 @@ class GoodnessSample:
 
 def _rotated_pencil(
     P_sub: PointTuple, Pprime_sub: PointTuple, rho: Rotation
-) -> tuple[RationalPolynomial, bool]:
-    """The unit pencil f onto the rotated target, and whether its flip count
-    must be even: d = 2 mod 4 with agreeing endpoint orientations.
+) -> tuple[IntPoly, bool]:
+    """The unit pencil f onto the rotated target, as its primitive integer
+    coefficients, and whether its flip count must be even: d = 2 mod 4 with
+    agreeing endpoint orientations.
 
     For even d the negated rotation moves the target to exactly its point
     reflection (negating a rationalized float is exact), whose orientations
@@ -245,14 +246,14 @@ def _rotated_pencil(
     ones = (Fraction(1),) * d
     pen = build_pencil(P_sub.points, rotated.points, ones)
     even = d % 4 == 2 and orient(P_sub.points) == orient(rotated.points)
-    return pen.poly, even
+    return pen.coeffs, even
 
 
 def _flip_counts(
-    f: RationalPolynomial, low: Fraction | None, high: Fraction | None, even: bool
+    f: IntPoly, low: Fraction | None, high: Fraction | None, even: bool
 ) -> tuple[int, int]:
     """root_counts of f on (low, high), checking the even-flips rule."""
-    flips, distinct = root_counts(f, low, high)
+    flips, distinct = _root_counts(f, low, high)
     if even and flips % 2 != 0:
         raise InternalInvariantError("odd flip count between equal orientations")
     return flips, distinct

@@ -228,6 +228,44 @@ class TestOddPlanner:
                 pen = om.build_pencil(A.subtuple(subset), Pq.subtuple(subset), lam, subset)
                 assert om.sign_change_count(pen.poly, F(0), None) == counts[subset]
 
+    def test_unperturbed_return_segment_is_the_identity(self, monkeypatch):
+        rng = random.Random(21)
+        A, B = rand_pair(rng, 6, 3)
+        assert om.perturb_general(B, om.robust_radius(B).epsilon, partner=A, seed=0) is B
+        built = []
+        build = om.motion.build_pencil
+
+        def recording(p_sub, q_sub, lam, subset):
+            built.append((p_sub, subset))
+            return build(p_sub, q_sub, lam, subset)
+
+        monkeypatch.setattr(om.motion, "build_pencil", recording)
+        plan = om.plan_odd_d(A, B, seed=0)
+        tail = plan.segments[2]
+        assert (tail.kind, tail.start, tail.end) == ("linear", B, B)
+        # every pencil moves the source, so none was built for the return
+        assert built and all(p_sub == A.subtuple(s) for p_sub, s in built)
+
+    @pytest.mark.parametrize("d,n,seed", [(3, 5, 40), (3, 6, 41), (5, 6, 56), (5, 7, 43)])
+    def test_certified_scale_is_the_first_of_the_halving_scan(self, d, n, seed):
+        rng = random.Random(seed)
+        for _ in range(3):
+            A, B = rand_pair(rng, n, d)
+            Pq = om.perturb_general(B, om.robust_radius(B).epsilon, partner=A, seed=seed)
+            profiles = om.subset_profiles(A, Pq)
+            signs = tuple(rng.choice((1, -1)) for _ in range(d - 1))
+            signs += (1 if signs.count(-1) % 2 == 0 else -1,)
+            eta = F(1, 1024)
+            while not all(
+                om.localization_certified(
+                    om.build_pencil(A.subtuple(s), Pq.subtuple(s), om.decay_lambdas(signs, eta)),
+                    prof,
+                )
+                for s, prof in profiles.items()
+            ):
+                eta /= 2
+            assert om.certify_decay_scale(A, Pq, signs, profiles) == eta
+
     def test_rejects_even_dimension(self):
         rng = random.Random(19)
         A, B = rand_pair(rng, 4, 2)

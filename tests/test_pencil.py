@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordermotion as om
 from ordermotion import RationalPolynomial as RP
@@ -96,6 +99,58 @@ class TestBuildPencil:
             pen = om.build_pencil(A.points, B.points, [1, 1])
             assert pen.poly.degree == 2
             assert om.sign_change_count(pen.poly, F(0), None) <= 2
+
+
+def _is_positive_multiple(pen, reference) -> bool:
+    """pen.coeffs are primitive integers and reference = pen.coeffs * r for
+    one rational r > 0; pen.poly is exactly the reference."""
+    ratio = reference.coeffs[-1] / pen.coeffs[-1]
+    return (
+        ratio > 0
+        and math.gcd(*pen.coeffs) == 1
+        and reference.coeffs == tuple(ratio * c for c in pen.coeffs)
+        and pen.poly == reference
+    )
+
+
+_rational = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+_scaling = st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(lambda v: v != 0)
+
+
+@st.composite
+def _pencil_case(draw):
+    d = draw(st.integers(2, 5))
+    point = st.tuples(*[_rational] * d)
+    p_sub = draw(st.lists(point, min_size=d + 1, max_size=d + 1))
+    q_sub = draw(st.lists(point, min_size=d + 1, max_size=d + 1))
+    lam = draw(st.lists(_scaling, min_size=d, max_size=d))
+    return p_sub, q_sub, lam
+
+
+class TestIntegerPencil:
+    @given(_pencil_case())
+    @settings(max_examples=60, deadline=None)
+    def test_positive_multiple_of_the_cofactor_pencil(self, case):
+        p_sub, q_sub, lam = case
+        d = len(lam)
+        reference = pencil_by_cofactors(p_sub, q_sub, lam)
+        if reference.is_zero or reference(0) == 0 or reference.degree < d:
+            with pytest.raises(om.DegenerateTupleError):
+                om.build_pencil(p_sub, q_sub, lam)
+            return
+        assert _is_positive_multiple(om.build_pencil(p_sub, q_sub, lam), reference)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_negative_and_mixed_scalings(self, d):
+        rng = random.Random(90 + d)
+        A, B = rand_tuple(rng, d + 1, d), rand_tuple(rng, d + 1, d)
+        for lam in (
+            (F(-1),) * d,
+            tuple(F((-1) ** j * (j + 2), 2 * j + 3) for j in range(d)),
+            om.decay_lambdas((-1,) * (d - 1) + ((-1) ** (d - 1),), F(1, 64)),
+        ):
+            pen = om.build_pencil(A.points, B.points, lam)
+            assert _is_positive_multiple(pen, pencil_by_cofactors(A.points, B.points, lam))
 
 
 class TestReflectionIdentity:

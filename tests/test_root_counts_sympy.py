@@ -11,6 +11,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordermotion as om
 import ordermotion.polynomial as poly_mod
@@ -171,3 +173,96 @@ def test_errors_keep_their_order():
         om.sturm_distinct_roots(RP.from_roots([1]), F(2), F(1))
     with pytest.raises(om.ZeroPolynomialError):
         om.sign_change_count(RP.from_coeffs([]), F(0), None)
+
+
+# ---------------------------------------------------------------------------
+# The integer layer: chains, gcds and signs on integer coefficients
+# ---------------------------------------------------------------------------
+
+def _sparse(rng: random.Random) -> list[int]:
+    """Random integer coefficients with missing terms, so remainders drop
+    by two or more degrees, and either sign of leading coefficient."""
+    c = [rng.choice((0, 0, 1, -1)) * rng.randint(1, 9) for _ in range(rng.randint(3, 8))]
+    c.append(rng.choice((-1, 1)) * rng.randint(1, 5))
+    return c
+
+
+def _planted_integer(rng: random.Random) -> tuple[tuple[int, ...], list[F]]:
+    """A sparse polynomial times planted roots of multiplicity 1-3."""
+    p = RP.from_coeffs(_sparse(rng))
+    roots = []
+    for _ in range(rng.randint(0, 2)):
+        roots.append(_random_root(rng))
+        p = p * RP.from_roots([roots[-1]] * rng.randint(1, 3))
+    return poly_mod._integer_coeffs(p), roots
+
+
+def _gapped_negative_steps(chain) -> int:
+    """Chain steps that divide by an element with a negative leading
+    coefficient across an even degree gap of 2 or more: there a signed
+    multiplier lc^(gap+1) of the remainder would be negative."""
+    return sum(
+        1
+        for a, b in zip(chain, chain[1:])
+        if b[-1] < 0 and len(a) - len(b) >= 2 and (len(a) - len(b)) % 2 == 0
+    )
+
+
+def test_integer_chain_counts_match_sympy():
+    rng = random.Random(31)
+    traps = 0
+    for _ in range(300):
+        c, roots = _planted_integer(rng)
+        traps += _gapped_negative_steps(poly_mod.sturm_chain(c))
+        p = RP.from_coeffs(c)
+        for low, high in (_interval(rng, roots + [F(0)]), (F(0), None), (None, F(0))):
+            expected = sympy_counts(p, low, high)
+            assert poly_mod._root_counts(c, low, high) == expected, (c, low, high)
+            assert poly_mod._root_counter(c)(low, high) == expected[1], (c, low, high)
+            assert poly_mod._distinct_roots(c, low, high) == expected[1], (c, low, high)
+    assert traps >= 5
+
+
+def test_integer_gcd_degree_matches_sympy():
+    rng = random.Random(37)
+    nontrivial = 0
+    for _ in range(200):
+        common = RP.from_coeffs(_sparse(rng)) if rng.random() < 0.6 else RP.from_coeffs([1])
+        a = common * RP.from_coeffs(_sparse(rng))
+        b = common * RP.from_coeffs(_sparse(rng)) * rng.choice((1, -1, F(-2, 3)))
+        g = poly_mod._gcd(poly_mod._integer_coeffs(a), poly_mod._integer_coeffs(b))
+        expected = sympy.gcd(_to_sympy(a), _to_sympy(b))
+        assert len(g) - 1 == expected.degree(), (a, b)
+        assert g[-1] > 0 and math.gcd(*g) == 1
+        assert om.poly_gcd(a, b) == RP.from_coeffs(
+            [F(c) for c in reversed(expected.monic().all_coeffs())]
+        )
+        nontrivial += len(g) > 1
+    assert nontrivial > 50
+
+
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9).filter(lambda c: c[-1] != 0),
+    st.fractions(max_denominator=10**4),
+)
+@settings(max_examples=300, deadline=None)
+def test_homogeneous_sign_matches_fraction_evaluation(c, x):
+    value = RP.from_coeffs(c)(x)
+    assert poly_mod._sign_at(c, x) == (value > 0) - (value < 0)
+
+
+@given(
+    st.lists(st.integers(-20, 20), min_size=2, max_size=8).filter(lambda c: c[-1] != 0),
+    st.sampled_from([(F(0), None), (None, F(0))]),
+)
+@settings(max_examples=300, deadline=None)
+def test_descartes_agrees_with_the_chain(c, interval):
+    low, high = interval
+    settled = poly_mod._descartes(c, low, high)
+    if settled is None:
+        return
+    p = RP.from_coeffs(c)
+    assert sympy_counts(p, low, high) == (settled, settled)
+    if c[0] != 0:
+        chain = poly_mod.sturm_chain(tuple(c))
+        assert poly_mod._sturm_count(chain, low, high) == settled
